@@ -45,4 +45,9 @@ ci/serve_smoke.sh
 step "replication smoke (primary + 2 replicas, kill -9, point-in-time restore)"
 ci/replication_smoke.sh
 
+step "e2e bench smoke (every workload at 1,000 rows over real sockets)"
+# byte-identity of every reply against Server.dispatch, plus the kill -9
+# durability check on insert-durable; exits non-zero on any failure
+dune build @bench/e2e/bench-smoke
+
 step "CI gate passed"

@@ -1,6 +1,5 @@
 module Metrics = Secdb_obs.Metrics
 module Trace = Secdb_obs.Trace
-module Obs = Secdb_obs.Obs
 module Rng = Secdb_util.Rng
 module Xbytes = Secdb_util.Xbytes
 module Pool = Secdb_util.Pool
@@ -297,8 +296,8 @@ type t = {
   mutable running : bool;
   mutable accept_thread : Thread.t option;
   conn_mu : Mutex.t;
-  conns : (int, Thread.t) Hashtbl.t;
-  mutable active : int;
+  conns_done : Condition.t;  (* broadcast whenever [active] drops to 0 *)
+  mutable active : int;  (* connections accepted and not yet closed, under conn_mu *)
   rng : Rng.t;
   rng_mu : Mutex.t;
   m : metrics;
@@ -358,7 +357,7 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
         running = false;
         accept_thread = None;
         conn_mu = Mutex.create ();
-        conns = Hashtbl.create 16;
+        conns_done = Condition.create ();
         active = 0;
         rng = Rng.create ~seed ();
         rng_mu = Mutex.create ();
@@ -495,12 +494,11 @@ let apply_op t op =
   | Ok (Error _ as e) -> e
   | Error `Draining -> Error "server draining"
 
-let observe_in t frame = if Obs.on () then Metrics.add t.m.m_bytes_in (Wire.frame_size frame)
-let observe_out t frame = if Obs.on () then Metrics.add t.m.m_bytes_out (Wire.frame_size frame)
+let observe_in t frame = Metrics.add t.m.m_bytes_in (Wire.frame_size frame)
 
-let send t fd frame =
-  observe_out t frame;
-  Wire.write_frame ~timeout:t.cfg.write_timeout fd frame
+let send ?stop t fd frame =
+  Metrics.add t.m.m_bytes_out (Wire.frame_size frame);
+  Wire.write_frame ?stop ~timeout:t.cfg.write_timeout fd frame
 
 (* Challenge–response over the fresh connection.  Returns the per-session
    request-MAC key; the master key plays no part here — both sides work
@@ -552,19 +550,26 @@ let handshake t fd =
             | Error (`Eof | `Timeout | `Stopped) -> Error ()))
   | Ok _ -> reject Wire.Frame "expected a hello frame"
 
+(* What a connection's reader hands its writer.  A reply travels as the
+   [resp] value itself: the writer encodes it once, into its own reused
+   buffer.  A [Fatal] frame is the last thing a connection sends. *)
+type outgoing =
+  | Reply of int * (Wire.resp, Wire.err_code * string) result
+  | Fatal of Wire.frame
+
 let handle_request t session_mac (frame : Wire.frame) =
   match frame with
   | Wire.Request { id; body; mac } ->
       let expected = Wire.request_mac_keyed session_mac ~id ~body in
       if not (Xbytes.constant_time_equal mac expected) then begin
         Metrics.incr t.m.m_auth_failures;
-        `Reply (Wire.Response { id; result = Error (Wire.Auth, "request MAC mismatch") })
+        Reply (id, Error (Wire.Auth, "request MAC mismatch"))
       end
       else begin
         match Wire.decode_req body with
         | Error e ->
             Metrics.incr t.m.m_rpc_errors;
-            `Reply (Wire.Response { id; result = Error (Wire.Bad_payload, e) })
+            Reply (id, Error (Wire.Bad_payload, e))
         | Ok req ->
             let op = Wire.op_name req in
             (match List.assoc_opt op t.m.m_rpc with Some c -> Metrics.incr c | None -> ());
@@ -574,21 +579,20 @@ let handle_request t session_mac (frame : Wire.frame) =
                   exec_routed t req)
             in
             (match result with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
-            `Reply
-              (Wire.Response
-                 { id; result = Result.map Wire.encode_resp result })
+            Reply (id, result)
       end
-  | _ -> `Close_after (Wire.Conn_error { code = Wire.Frame; message = "expected a request frame" })
+  | _ -> Fatal (Wire.Conn_error { code = Wire.Frame; message = "expected a request frame" })
 
 let set_conn_gauge t delta =
   Mutex.lock t.conn_mu;
   t.active <- t.active + delta;
   Metrics.set t.m.g_conns t.active;
+  if t.active = 0 then Condition.broadcast t.conns_done;
   Mutex.unlock t.conn_mu
 
+(* The accept loop has already counted this connection in [active]. *)
 let serve_conn t fd =
   Metrics.incr t.m.m_conn_total;
-  set_conn_gauge t 1;
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -605,19 +609,21 @@ let serve_conn t fd =
           let writer =
             Thread.create
               (fun () ->
+                let out = Wire.reply_writer () in
+                let stop () = Atomic.get dead in
                 let rec drain () =
                   match Bqueue.pop queue with
                   | None -> ()
-                  | Some frame ->
+                  | Some item ->
                       if not (Atomic.get dead) then begin
-                        observe_out t frame;
-                        match
-                          Wire.write_frame
-                            ~stop:(fun () -> Atomic.get dead)
-                            ~timeout:t.cfg.write_timeout fd frame
-                        with
-                        | Ok () -> ()
-                        | Error _ -> Atomic.set dead true
+                        let written =
+                          match item with
+                          | Reply (id, result) ->
+                              Metrics.add t.m.m_bytes_out (Wire.encode_reply out ~id result);
+                              Wire.send_reply ~stop ~timeout:t.cfg.write_timeout out fd
+                          | Fatal frame -> send ~stop t fd frame
+                        in
+                        if Result.is_error written then Atomic.set dead true
                       end;
                       drain ()
                 in
@@ -635,16 +641,16 @@ let serve_conn t fd =
               | Error (`Too_large n) ->
                   ignore
                     (Bqueue.push queue
-                       (Wire.Conn_error
-                          { code = Wire.Too_large; message = Printf.sprintf "frame of %d bytes" n }))
+                       (Fatal
+                          (Wire.Conn_error
+                             { code = Wire.Too_large; message = Printf.sprintf "frame of %d bytes" n })))
               | Error (`Bad_frame e) ->
-                  ignore (Bqueue.push queue (Wire.Conn_error { code = Wire.Frame; message = e }))
+                  ignore (Bqueue.push queue (Fatal (Wire.Conn_error { code = Wire.Frame; message = e })))
               | Ok frame -> (
                   observe_in t frame;
                   match handle_request t session_mac frame with
-                  | `Reply reply ->
-                      if Bqueue.push queue reply then loop ()
-                  | `Close_after reply -> ignore (Bqueue.push queue reply))
+                  | Reply _ as reply -> if Bqueue.push queue reply then loop ()
+                  | Fatal _ as fatal -> ignore (Bqueue.push queue fatal))
           in
           loop ();
           Bqueue.close queue;
@@ -675,11 +681,15 @@ let run t =
   let rec accept_loop () =
     if wait_readable ~stop:(stopping t) t.listen_fd then begin
       (match Unix.accept t.listen_fd with
-      | fd, _ ->
-          let th = Thread.create (fun () -> serve_conn t fd) () in
-          Mutex.lock t.conn_mu;
-          Hashtbl.replace t.conns (Thread.id th) th;
-          Mutex.unlock t.conn_mu
+      | fd, _ -> (
+          (* counted before its thread exists, so the drain below cannot
+             miss a connection accepted just before the stop flag *)
+          set_conn_gauge t 1;
+          try ignore (Thread.create (fun () -> serve_conn t fd) ())
+          with _ ->
+            (* no thread to serve it (resource exhaustion): drop the peer *)
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            set_conn_gauge t (-1))
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.set t.stop_flag true);
       accept_loop ()
@@ -692,13 +702,11 @@ let run t =
   (match t.unix_path with
   | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
   | None -> ());
-  let workers =
-    Mutex.lock t.conn_mu;
-    let ws = Hashtbl.fold (fun _ th acc -> th :: acc) t.conns [] in
-    Mutex.unlock t.conn_mu;
-    ws
-  in
-  List.iter Thread.join workers;
+  Mutex.lock t.conn_mu;
+  while t.active > 0 do
+    Condition.wait t.conns_done t.conn_mu
+  done;
+  Mutex.unlock t.conn_mu;
   (* no submitter left: close the shard queues and park the executors *)
   Shard.iter t.shards (fun _ sh -> Bqueue.close sh.jobs);
   Array.iter Domain.join t.doms;

@@ -6,7 +6,8 @@
     bounded response queue — the queue bound is the per-connection
     in-flight cap, so a client that pipelines faster than the server can
     answer is throttled through TCP backpressure rather than unbounded
-    buffering).
+    buffering).  The writer encodes each response once, into a buffer it
+    reuses for the life of the connection.
 
     The data plane is sharded: every table lives in exactly one shard
     ({!Secdb_db.Shard.key_shard} over its name), each shard owns a full
@@ -100,7 +101,8 @@ val addr : t -> Wire.addr
 val run : t -> unit
 (** Serve in the calling thread until {!request_stop} (e.g. from a SIGTERM
     handler), then drain: stop accepting, let every connection finish its
-    current request, join the workers, close and unlink the socket. *)
+    current request, wait until no connection is left open, close and
+    unlink the socket. *)
 
 val start : t -> unit
 (** {!run} in a background thread (for tests and in-process benchmarks). *)

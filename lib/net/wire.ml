@@ -54,22 +54,50 @@ let err_code_of_int = function
 
 (* --- encoder / decoder primitives ----------------------------------------- *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* A growable byte buffer.  Unlike [Buffer.t] it exposes its storage, so a
+   frame encoded into it goes to the socket without being copied out. *)
+type obuf = { mutable buf : Bytes.t; mutable len : int }
 
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
+let obuf n = { buf = Bytes.create n; len = 0 }
 
-let put_u32 b v =
-  let s = Bytes.create 4 in
-  Xbytes.set_uint32_be s 0 v;
-  Buffer.add_bytes b s
+let reserve o n =
+  let need = o.len + n in
+  if need > Bytes.length o.buf then begin
+    let b = Bytes.create (max need (2 * Bytes.length o.buf)) in
+    Bytes.blit o.buf 0 b 0 o.len;
+    o.buf <- b
+  end
 
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
+(* the encoded bytes; [o] must not be written to afterwards *)
+let contents o =
+  if o.len = Bytes.length o.buf then Bytes.unsafe_to_string o.buf
+  else Bytes.sub_string o.buf 0 o.len
 
-let put_value b v = put_str b (Value.encode v)
+let put_u8 o v =
+  reserve o 1;
+  Bytes.unsafe_set o.buf o.len (Char.unsafe_chr (v land 0xff));
+  o.len <- o.len + 1
+
+let put_u16 o v =
+  put_u8 o (v lsr 8);
+  put_u8 o v
+
+let put_u32 o v =
+  reserve o 4;
+  Xbytes.set_uint32_be o.buf o.len v;
+  o.len <- o.len + 4
+
+let put_raw o s =
+  let n = String.length s in
+  reserve o n;
+  Bytes.blit_string s 0 o.buf o.len n;
+  o.len <- o.len + n
+
+let put_str o s =
+  put_u32 o (String.length s);
+  put_raw o s
+
+let put_value o v = put_str o (Value.encode v)
 
 exception Decode of string
 
@@ -145,7 +173,7 @@ let op_name = function
   | Repl_root -> "repl_root"
 
 let encode_req r =
-  let b = Buffer.create 64 in
+  let b = obuf 64 in
   (match r with
   | Ping payload ->
       put_u8 b 0x00;
@@ -186,7 +214,7 @@ let encode_req r =
       put_u32 b ack;
       put_u32 b max
   | Repl_root -> put_u8 b 0x09);
-  Buffer.contents b
+  contents b
 
 let decode_req s =
   decoding
@@ -254,9 +282,8 @@ type resp =
           primary's durable count so the replica can see its lag *)
   | Root of { applied : int; root : string }
 
-let encode_resp r =
-  let b = Buffer.create 64 in
-  (match r with
+let put_resp b r =
+  match r with
   | Pong payload ->
       put_u8 b 0x00;
       put_str b payload
@@ -324,8 +351,12 @@ let encode_resp r =
   | Root { applied; root } ->
       put_u8 b 0x09;
       put_u32 b applied;
-      put_str b root);
-  Buffer.contents b
+      put_str b root
+
+let encode_resp r =
+  let b = obuf 64 in
+  put_resp b r;
+  contents b
 
 let decode_resp s =
   decoding
@@ -403,47 +434,70 @@ type frame =
   | Response of { id : int; result : (string, err_code * string) result }
   | Conn_error of { code : err_code; message : string }
 
-let frame_to_bytes f =
-  let b = Buffer.create 64 in
-  (match f with
+(* a Response frame up to its body: tag, id, status, and the error itself *)
+let put_response b ~id result put_ok =
+  put_u8 b 0x11;
+  put_u32 b id;
+  match result with
+  | Ok x ->
+      put_u8 b 0;
+      put_ok b x
+  | Error (code, message) ->
+      put_u8 b 1;
+      put_u8 b (err_code_to_int code);
+      put_raw b message
+
+let put_frame b = function
   | Hello { version; nonce } ->
       put_u8 b 0x01;
-      Buffer.add_string b magic;
+      put_raw b magic;
       put_u16 b version;
-      Buffer.add_string b nonce
+      put_raw b nonce
   | Challenge { version; nonce } ->
       put_u8 b 0x02;
       put_u16 b version;
-      Buffer.add_string b nonce
+      put_raw b nonce
   | Auth mac ->
       put_u8 b 0x03;
-      Buffer.add_string b mac
+      put_raw b mac
   | Auth_ok mac ->
       put_u8 b 0x04;
-      Buffer.add_string b mac
+      put_raw b mac
   | Request { id; body; mac } ->
       put_u8 b 0x10;
       put_u32 b id;
-      Buffer.add_string b body;
-      Buffer.add_string b mac
-  | Response { id; result } -> (
-      put_u8 b 0x11;
-      put_u32 b id;
-      match result with
-      | Ok body ->
-          put_u8 b 0;
-          Buffer.add_string b body
-      | Error (code, message) ->
-          put_u8 b 1;
-          put_u8 b (err_code_to_int code);
-          Buffer.add_string b message)
+      put_raw b body;
+      put_raw b mac
+  | Response { id; result } -> put_response b ~id result put_raw
   | Conn_error { code; message } ->
       put_u8 b 0x12;
       put_u8 b (err_code_to_int code);
-      Buffer.add_string b message);
-  Buffer.contents b
+      put_raw b message
 
-let frame_size f = 4 + String.length (frame_to_bytes f)
+let frame_size f =
+  let n = String.length in
+  4 + 1
+  +
+  match f with
+  | Hello { nonce; _ } -> n magic + 2 + n nonce
+  | Challenge { nonce; _ } -> 2 + n nonce
+  | Auth mac | Auth_ok mac -> n mac
+  | Request { body; mac; _ } -> 4 + n body + n mac
+  | Response { result = Ok body; _ } -> 4 + 1 + n body
+  | Response { result = Error (_, message); _ } -> 4 + 2 + n message
+  | Conn_error { message; _ } -> 1 + n message
+
+let frame_to_bytes f =
+  let b = obuf (frame_size f - 4) in
+  put_frame b f;
+  contents b
+
+(* [b] from the start: the length prefix, then whatever [put] writes *)
+let framed b put =
+  b.len <- 0;
+  put_u32 b 0;
+  put b;
+  Xbytes.set_uint32_be b.buf 0 (b.len - 4)
 
 let get_err_code c =
   let n = get_u8 c in
@@ -591,15 +645,14 @@ let read_exact ~stop ~deadline fd buf =
   in
   go 0
 
-let write_all ~stop ~deadline fd s =
-  let len = String.length s in
+let write_all ~stop ~deadline fd b len =
   let rec go off =
     if off >= len then Ok ()
     else
       match wait_fd ~stop ~deadline fd ~for_read:false with
       | Error _ as e -> e
       | Ok () -> (
-          match Unix.write_substring fd s off (len - off) with
+          match Unix.write fd b off (len - off) with
           | n -> go (off + n)
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
               go off
@@ -627,10 +680,31 @@ let read_frame ?(stop = no_stop) ?(max_frame = default_max_frame) ~timeout fd =
 
 let write_frame ?(stop = no_stop) ~timeout fd f =
   let deadline = Unix.gettimeofday () +. timeout in
-  let payload = frame_to_bytes f in
-  let hdr = Bytes.create 4 in
-  Xbytes.set_uint32_be hdr 0 (String.length payload);
-  write_all ~stop ~deadline fd (Bytes.unsafe_to_string hdr ^ payload)
+  let b = obuf (frame_size f) in
+  framed b (fun b -> put_frame b f);
+  write_all ~stop ~deadline fd b.buf b.len
+
+type reply_writer = obuf
+
+let reply_buf_initial = 4096
+
+(* A reply past this size (a Stats dump, a wide SELECT) is written from a
+   buffer that is then dropped, so one large reply does not stay pinned
+   to an idle connection. *)
+let reply_buf_keep = 64 * 1024
+
+let reply_writer () = obuf reply_buf_initial
+
+let encode_reply w ~id result =
+  framed w (fun b -> put_response b ~id result put_resp);
+  w.len
+
+let send_reply ?(stop = no_stop) ~timeout w fd =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let r = write_all ~stop ~deadline fd w.buf w.len in
+  if Bytes.length w.buf > reply_buf_keep then w.buf <- Bytes.create reply_buf_initial;
+  w.len <- 0;
+  r
 
 (* --- addresses ---------------------------------------------------------------- *)
 

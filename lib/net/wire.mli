@@ -110,8 +110,10 @@ val frame_to_bytes : frame -> string
 (** Tag byte plus body — everything after the length prefix. *)
 
 val frame_of_bytes : string -> (frame, string) result
+
 val frame_size : frame -> int
-(** Size on the wire including the 4-byte length prefix. *)
+(** Size on the wire including the 4-byte length prefix, computed from
+    the field lengths without encoding the frame. *)
 
 (** {1 Session secrets}
 
@@ -168,6 +170,25 @@ val read_frame :
 
 val write_frame :
   ?stop:(unit -> bool) -> timeout:float -> Unix.file_descr -> frame -> (unit, io_error) result
+(** Encodes the frame once, length prefix included, into a buffer of
+    exactly {!frame_size} bytes and writes it. *)
+
+type reply_writer
+(** One connection's reusable reply buffer, owned by the thread that
+    writes that connection's replies. *)
+
+val reply_writer : unit -> reply_writer
+
+val encode_reply : reply_writer -> id:int -> (resp, err_code * string) result -> int
+(** Encode [Response { id; result = Result.map encode_resp result }],
+    length prefix included, once and straight into the writer's buffer —
+    no intermediate body string.  Returns its size on the wire. *)
+
+val send_reply :
+  ?stop:(unit -> bool) -> timeout:float -> reply_writer -> Unix.file_descr -> (unit, io_error) result
+(** Write the reply {!encode_reply} staged: exactly the bytes
+    {!write_frame} would put on the wire for the same frame.  A buffer
+    that grew past a fixed bound for a large reply is dropped afterwards. *)
 
 (** {1 Addresses} *)
 

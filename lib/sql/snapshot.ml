@@ -3,17 +3,21 @@ module Schema = Secdb_db.Schema
 module Etable = Secdb_query.Encrypted_table
 module Encdb = Secdb.Encdb
 module Imap = Map.Make (Int)
+module Iset = Set.Make (Int)
 module Smap = Map.Make (String)
+module Vmap = Map.Make (Value)
 
-(* [keys.(c)] is [Some m] when column [c] is indexed: [m] maps an encoded
-   value to the rows holding it, in the order the index would return them
-   — ascending rows after a rebuild, appended on insert/update.  All maps
-   are immutable, so publishing a snapshot is one atomic store and value
-   arrays are copied before mutation. *)
+(* [keys.(c)] is [Some m] when column [c] has an exact index: [m] maps each
+   value in the column, ordered by {!Value.compare}, to the rows holding
+   it.  Keys are values, not {!Value.encode} strings: encoded [Int]s are
+   big-endian two's complement, so byte order would put negatives after
+   positives and a range could not seek.  All maps are immutable, so
+   publishing a snapshot is one atomic store and value arrays are copied
+   before mutation. *)
 type table_snap = {
   schema : Schema.t;
   rows : Value.t array Imap.t;
-  keys : int list Smap.t option array;
+  keys : Iset.t Vmap.t option array;
 }
 
 type t = table_snap Smap.t
@@ -24,57 +28,45 @@ let schema ts = ts.schema
 
 let all_rows ts = Imap.bindings ts.rows
 
+(* prepend [rows] with their values to [acc], last row first *)
+let rev_append_rows ts rows acc = Iset.fold (fun r acc -> (r, Imap.find r ts.rows) :: acc) rows acc
+
 let index_probe ts ~col v =
-  match ts.keys.(col) with
-  | None -> None
-  | Some m ->
-      let rows = Option.value (Smap.find_opt (Value.encode v) m) ~default:[] in
-      Some (List.map (fun r -> (r, Imap.find r ts.rows)) rows)
+  Option.map
+    (fun m ->
+      match Vmap.find_opt v m with
+      | None -> []
+      | Some rows -> List.map (fun r -> (r, Imap.find r ts.rows)) (Iset.elements rows))
+    ts.keys.(col)
 
-(* the candidate set an INDEX SCAN produces for an inclusive range: value
-   ascending, duplicates in index order.  Encoded keys are decoded back to
-   values for the comparison — {!Value.encode} is injective, so each
-   distinct value is exactly one key. *)
+(* seek to the first key [>= lo], stop at the first key [> hi]: O(log n + k) *)
 let index_range ts ~col ~lo ~hi =
-  match ts.keys.(col) with
-  | None -> None
-  | Some m ->
-      let matching =
-        Smap.fold
-          (fun k rows acc ->
-            match Value.decode k with
-            | Error _ -> acc
-            | Ok v ->
-                if Value.compare lo v <= 0 && Value.compare v hi <= 0 then (v, rows) :: acc
-                else acc)
-          m []
-        |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
+  Option.map
+    (fun m ->
+      let rec take seq acc =
+        match seq () with
+        | Seq.Cons ((v, rows), rest) when Value.compare v hi <= 0 ->
+            take rest (rev_append_rows ts rows acc)
+        | _ -> List.rev acc
       in
-      Some
-        (List.concat_map
-           (fun (_, rows) -> List.map (fun r -> (r, Imap.find r ts.rows)) rows)
-           matching)
+      take (Vmap.to_seq_from lo m) [])
+    ts.keys.(col)
 
-(* rebuild one column's key lists from the rows, ascending row order —
-   exactly the order Encdb.create_index bulk-loads (stable sort over an
-   ascending scan keeps duplicates row-ascending) *)
-let build_keys rows col =
-  Smap.map List.rev
-    (Imap.fold
-       (fun row vs m ->
-         let k = Value.encode vs.(col) in
-         Smap.add k (row :: Option.value (Smap.find_opt k m) ~default:[]) m)
-       rows Smap.empty)
+let add_key m v row =
+  Vmap.update v
+    (function None -> Some (Iset.singleton row) | Some rows -> Some (Iset.add row rows))
+    m
 
-let drop_key m k row =
-  match Smap.find_opt k m with
-  | None -> m
-  | Some rows -> (
-      match List.filter (fun r -> r <> row) rows with
-      | [] -> Smap.remove k m
-      | rows -> Smap.add k rows m)
+let drop_key m v row =
+  Vmap.update v
+    (function
+      | None -> None
+      | Some rows ->
+          let rows = Iset.remove row rows in
+          if Iset.is_empty rows then None else Some rows)
+    m
 
-let append_key m k row = Smap.add k (Option.value (Smap.find_opt k m) ~default:[] @ [ row ]) m
+let build_keys rows col = Imap.fold (fun row vs m -> add_key m vs.(col) row) rows Vmap.empty
 
 let with_table t name f =
   match Smap.find_opt name t with None -> t | Some ts -> Smap.add name (f ts) t
@@ -102,12 +94,7 @@ let apply t (change : Encdb.change) =
   | Encdb.Inserted { table; row; values } ->
       with_table t table (fun ts ->
           let vs = Array.of_list values in
-          let keys =
-            Array.mapi
-              (fun ci m ->
-                Option.map (fun m -> append_key m (Value.encode vs.(ci)) row) m)
-              ts.keys
-          in
+          let keys = Array.mapi (fun ci m -> Option.map (fun m -> add_key m vs.(ci) row) m) ts.keys in
           { ts with rows = Imap.add row vs ts.rows; keys })
   | Encdb.Updated { table; row; col; value } ->
       with_table t table (fun ts ->
@@ -119,11 +106,8 @@ let apply t (change : Encdb.change) =
                 match ts.keys.(ci) with
                 | None -> ts.keys
                 | Some m ->
-                    (* mirror the index update: the entry moves to the
-                       rightmost position among its new duplicates *)
-                    let m = drop_key m (Value.encode old.(ci)) row in
                     let keys = Array.copy ts.keys in
-                    keys.(ci) <- Some (append_key m (Value.encode value) row);
+                    keys.(ci) <- Some (add_key (drop_key m old.(ci) row) value row);
                     keys
               in
               { ts with rows = Imap.add row vs ts.rows; keys }
@@ -134,9 +118,7 @@ let apply t (change : Encdb.change) =
           | None -> ts
           | Some old ->
               let keys =
-                Array.mapi
-                  (fun ci m -> Option.map (fun m -> drop_key m (Value.encode old.(ci)) row) m)
-                  ts.keys
+                Array.mapi (fun ci m -> Option.map (fun m -> drop_key m old.(ci) row) m) ts.keys
               in
               { ts with rows = Imap.remove row ts.rows; keys })
 

@@ -7,12 +7,18 @@
     a reader can observe a slightly stale (but internally consistent)
     state, never a torn one.
 
-    The snapshot mirrors the engine's visible ordering exactly: full scans
-    enumerate live rows in ascending row order (like
-    {!Secdb_query.Encrypted_table.select}), and an indexed column's
-    duplicate lists keep index order — ascending rows after a rebuild,
-    append-to-the-right on insert and update — so a query answered here is
-    byte-identical to the same query run through the executor. *)
+    Rows are held by row id, so a full scan enumerates live rows in
+    ascending row order (like {!Secdb_query.Encrypted_table.select}).
+    Each exactly-indexed column keeps a value-ordered map (under
+    {!Secdb_db.Value.compare}) from each value to the set of rows holding
+    it: an equality probe is one lookup, a range costs O(log n + k) for
+    [k] matching rows, and maintaining a key costs O(log n + log d) for
+    [d] duplicates.  The snapshot does not mirror the order in which an
+    index returns duplicates: {!Engine.exec_snapshot} puts every
+    candidate set in ascending row order before the shared
+    filter/sort/limit tail, exactly as the locked executor does, so a
+    query answered here is byte-identical to the same query run through
+    the executor. *)
 
 type table_snap
 type t
@@ -37,8 +43,9 @@ val all_rows : table_snap -> (int * Secdb_db.Value.t array) list
 
 val index_probe :
   table_snap -> col:int -> Secdb_db.Value.t -> (int * Secdb_db.Value.t array) list option
-(** [None] when the column has no index (caller falls back to
-    {!all_rows}); otherwise the rows equal to the probe, in index order. *)
+(** [None] when the column has no exact index (caller falls back to
+    {!all_rows}); otherwise the rows whose value equals the probe, in
+    ascending row order.  One map lookup, no per-probe encoding. *)
 
 val index_range :
   table_snap ->
@@ -47,6 +54,8 @@ val index_range :
   hi:Secdb_db.Value.t ->
   (int * Secdb_db.Value.t array) list option
 (** [None] when the column has no exact index; otherwise the rows with
-    [lo <= v <= hi] in the order an INDEX SCAN yields them — value
-    ascending, duplicates in index order.  (Bucketized range indexes need
-    no snapshot mirror: their candidate order is {!all_rows}'s.) *)
+    [lo <= v <= hi] under {!Secdb_db.Value.compare}, value ascending and
+    row ascending within a value.  Seeks to [lo] and stops at the first
+    key above [hi], so it costs O(log n + k); [lo > hi] yields [[]].
+    (Bucketized range indexes need no snapshot mirror: their candidate
+    order is {!all_rows}'s.) *)

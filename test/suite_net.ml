@@ -175,6 +175,121 @@ let test_frame_truncation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag accepted"
 
+module G = QCheck2.Gen
+
+let gen_str = G.(string_size (int_range 0 48))
+let gen_u32 = G.int_range 0 0xffff_ffff
+
+let gen_err_code =
+  G.oneofl
+    ([ Auth; Frame; Too_large; Unknown_op; Bad_payload; App; Server_error; Backpressure ]
+      : Wire.err_code list)
+
+let gen_result gen_ok =
+  G.(oneof [ map Result.ok gen_ok; map2 (fun c m -> Error (c, m)) gen_err_code gen_str ])
+
+let gen_frame =
+  G.(
+    oneof
+      [
+        map2 (fun version nonce -> Wire.Hello { version; nonce }) (int_range 0 0xffff) gen_str;
+        map2 (fun version nonce -> Wire.Challenge { version; nonce }) (int_range 0 0xffff) gen_str;
+        map (fun mac -> Wire.Auth mac) gen_str;
+        map (fun mac -> Wire.Auth_ok mac) gen_str;
+        map3 (fun id body mac -> Wire.Request { id; body; mac }) gen_u32 gen_str gen_str;
+        map2 (fun id result -> Wire.Response { id; result }) gen_u32 (gen_result gen_str);
+        map2 (fun code message -> Wire.Conn_error { code; message }) gen_err_code gen_str;
+      ])
+
+let prop_frame_size =
+  Test_seed.qc
+    (QCheck2.Test.make ~count:500 ~name:"frame_size = 4 + |frame_to_bytes|" gen_frame (fun f ->
+         Wire.frame_size f = 4 + String.length (Wire.frame_to_bytes f)))
+
+let gen_value =
+  G.(
+    oneof
+      [
+        return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Int i) int64;
+        map (fun s -> Value.Text s) gen_str;
+        map (fun s -> Value.Bytes s) gen_str;
+      ])
+
+let gen_resp =
+  let module E = Secdb_sql.Engine in
+  G.(
+    frequency
+      [
+        (3, map (fun p -> Wire.Pong p) gen_str);
+        (3, map (fun d -> Wire.Stats_dump d) gen_str);
+        (* past the writer's keep bound: the buffer grows, then is dropped *)
+        (1, map (fun n -> Wire.Stats_dump (String.make n 's')) (int_range 65_000 200_000));
+        ( 3,
+          map
+            (fun o -> Wire.Outcome o)
+            (oneof
+               [
+                 map2
+                   (fun columns rows -> E.Rows { columns; rows })
+                   (small_list gen_str)
+                   (small_list (small_list gen_value));
+                 map (fun n -> E.Affected n) gen_u32;
+                 return E.Created;
+                 map (fun p -> E.Plan p) gen_str;
+               ]) );
+        (1, return Wire.Updated);
+        (3, map (fun v -> Wire.Cell_value v) gen_value);
+        (3, map (fun r -> Wire.Row_id r) gen_u32);
+        ( 3,
+          map
+            (fun cells -> Wire.Column cells)
+            (small_list
+               (oneof
+                  [
+                    return Wire.Tombstone;
+                    map (fun v -> Wire.Cell v) gen_value;
+                    map (fun e -> Wire.Cell_error e) gen_str;
+                  ])) );
+        (3, map (fun rows -> Wire.Rows rows) (small_list (pair gen_u32 (small_list gen_value))));
+        ( 3,
+          map2
+            (fun durable records -> Wire.Repl_records { durable; records })
+            gen_u32
+            (small_list (pair gen_u32 gen_str)) );
+        (3, map2 (fun applied root -> Wire.Root { applied; root }) gen_u32 gen_str);
+      ])
+
+(* Everything [write] puts on a fresh regular file (always writable, so
+   the select-sliced writers never wait). *)
+let capture write =
+  let path = Filename.temp_file "secdbwire" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let r = Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> write fd) in
+  (r, In_channel.with_open_bin path In_channel.input_all)
+
+(* One writer across every case, as a connection reuses it for every
+   reply: a large reply in between must not disturb the next one. *)
+let prop_reply_writer_bytes =
+  let w = Wire.reply_writer () in
+  Test_seed.qc
+    (QCheck2.Test.make ~count:200 ~name:"reused reply writer = write_frame bytes"
+       G.(pair gen_u32 (gen_result gen_resp))
+       (fun (id, result) ->
+         let ok, expected =
+           capture (fun fd ->
+               Wire.write_frame ~timeout:5. fd
+                 (Wire.Response { id; result = Result.map Wire.encode_resp result }))
+         in
+         let (size, sent), got =
+           capture (fun fd ->
+               let size = Wire.encode_reply w ~id result in
+               (size, Wire.send_reply ~timeout:5. w fd))
+         in
+         ok = Ok () && sent = Ok () && got = expected && size = String.length got))
+
 let test_session_secrets () =
   let k1 = Wire.auth_key_of_master master in
   let k2 = Wire.auth_key_of_master master in
@@ -510,6 +625,30 @@ let test_graceful_stop_drains () =
 (* with_server's finally runs Server.stop: reaching the end without
    hanging is the drain assertion *)
 
+(* Connection churn leaves nothing behind: after 200 connect/close cycles,
+   and with one more connection still open, stop drains and returns, and
+   the live-connection gauge reads 0. *)
+let test_connection_churn () =
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let module Metrics = Secdb_obs.Metrics in
+  let total = Metrics.counter "net.connections_total" in
+  let before = Metrics.value total in
+  let still_open =
+    with_server @@ fun addr ->
+    for _ = 1 to 200 do
+      Client.close (connect addr)
+    done;
+    let c = connect addr in
+    (match Client.call c (Wire.Ping "open across stop") with
+    | Ok (Wire.Pong _) -> ()
+    | Ok _ | Error _ -> Alcotest.fail "ping on the held connection");
+    c
+  in
+  Client.close still_open;
+  Alcotest.(check int) "every connection accepted" 201 (Metrics.value total - before);
+  Alcotest.(check int) "no connection left" 0
+    (Metrics.gauge_value (Metrics.gauge "net.connections"))
+
 let suites =
   [
     ( "net:wire",
@@ -518,6 +657,8 @@ let suites =
         Alcotest.test_case "response codec roundtrip" `Quick test_resp_roundtrip;
         Alcotest.test_case "frame codec roundtrip" `Quick test_frame_roundtrip;
         Alcotest.test_case "truncated frames are structured errors" `Quick test_frame_truncation;
+        prop_frame_size;
+        prop_reply_writer_bytes;
         Alcotest.test_case "session secrets are derived and domain-separated" `Quick
           test_session_secrets;
       ] );
@@ -542,5 +683,7 @@ let suites =
         Alcotest.test_case "half-open connection hits the read timeout" `Quick
           test_half_open_hits_read_timeout;
         Alcotest.test_case "stop drains cleanly" `Quick test_graceful_stop_drains;
+        Alcotest.test_case "connection churn leaves no connection behind" `Quick
+          test_connection_churn;
       ] );
   ]

@@ -645,9 +645,77 @@ let prop_range_index_oracle =
         | Some (Error e) -> failwith e
         | None -> failwith "snapshot path declined")
 
+(* The snapshot as the server maintains it: primed empty, then folded one
+   change at a time through [Snapshot.apply] while random mutations move
+   index keys around — negative ints, NULLs, duplicates and text keys, an
+   index created before or after the rows it covers.  Every probe along
+   the way must answer exactly what the locked engine answers. *)
+let prop_snapshot_apply_matches_locked =
+  let open QCheck2.Gen in
+  let int_lit = frequency [ (8, map string_of_int (int_range (-12) 12)); (1, return "NULL") ] in
+  let text_lit =
+    frequency
+      [ (8, oneofl [ "''"; "'ann'"; "'bob'"; "'Bob'"; "'cy'"; "'dee'" ]); (1, return "NULL") ]
+  in
+  (* bounds of the column's kind, mostly, and sometimes of another *)
+  let int_bound =
+    frequency [ (8, map string_of_int (int_range (-15) 15)); (1, oneofl [ "'a'"; "NULL"; "TRUE" ]) ]
+  in
+  let text_bound = frequency [ (8, oneofl [ "''"; "'a'"; "'bob'"; "'c'"; "'z'" ]); (1, return "-3") ] in
+  let id = int_range 0 12 in
+  let stmt =
+    frequency
+      [
+        (1, oneofl [ "CREATE INDEX ON s (k)"; "CREATE INDEX ON s (name)" ]);
+        (6, map3 (Printf.sprintf "INSERT INTO s VALUES (%d, %s, %s)") id int_lit text_lit);
+        (3, map2 (Printf.sprintf "UPDATE s SET k = %s WHERE id = %d") int_lit id);
+        ( 2,
+          map3 (Printf.sprintf "UPDATE s SET name = %s WHERE k BETWEEN %d AND %d") text_lit
+            (int_range (-12) 12) (int_range (-12) 12) );
+        (1, map (Printf.sprintf "DELETE FROM s WHERE id = %d") id);
+        (1, map (Printf.sprintf "DELETE FROM s WHERE k = %s") int_lit);
+        (2, map (Printf.sprintf "SELECT * FROM s WHERE k = %s") int_lit);
+        (2, map (Printf.sprintf "SELECT id, k FROM s WHERE name = %s") text_lit);
+        (3, map2 (Printf.sprintf "SELECT * FROM s WHERE k BETWEEN %s AND %s") int_bound int_bound);
+        ( 2,
+          map2
+            (Printf.sprintf "SELECT id, k FROM s WHERE name BETWEEN %s AND %s ORDER BY k DESC LIMIT 4")
+            text_bound text_bound );
+        (1, map2 (Printf.sprintf "SELECT count(*) FROM s WHERE k BETWEEN %s AND %s") int_bound int_bound);
+      ]
+  in
+  QCheck2.Test.make ~name:"snapshot folded through apply = locked engine" ~count:60
+    ~print:(String.concat ";\n")
+    (list_size (int_range 0 50) stmt)
+    (fun script ->
+      let db = Encdb.create ~master:"snapshot-apply" ~profile:(Encdb.Fixed Encdb.Eax) () in
+      let pending = ref [] in
+      Encdb.set_on_change db (Some (fun ch -> pending := ch :: !pending));
+      let snap = ref (Snap.of_db db) in
+      let mutate sql =
+        ignore (E.exec db sql);
+        snap := List.fold_left Snap.apply !snap (List.rev !pending);
+        pending := []
+      in
+      mutate "CREATE TABLE s (id INT CLEAR, k INT, name TEXT)";
+      List.for_all
+        (fun sql ->
+          match P.parse sql with
+          | Ok (A.Select _ as select) -> (
+              match E.exec_snapshot !snap select with
+              | Some fast when fast = E.exec db sql -> true
+              | Some _ -> QCheck2.Test.fail_reportf "%s: snapshot answer differs" sql
+              | None -> QCheck2.Test.fail_reportf "%s: snapshot declined" sql)
+          | _ ->
+              mutate sql;
+              true)
+        script)
+
 let suites =
   suites
   @ [
+      ( "sql:snapshot",
+        [ Test_seed.qc prop_snapshot_apply_matches_locked ] );
       ( "sql:range-index",
         [
           Alcotest.test_case "parse CREATE RANGE INDEX" `Quick test_parse_create_range_index;

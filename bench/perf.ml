@@ -549,8 +549,8 @@ let planner_select sql =
 
 let check_planner () =
   (* whatever the cost model picks, every candidate plan — and the
-     lock-free snapshot path, where it volunteers — must return the same
-     bytes; a planner bug may cost latency, never answers *)
+     lock-free snapshot path, which must answer every SELECT — must return
+     the same bytes; a planner bug may cost latency, never answers *)
   let db = planner_db ~rows:160 () in
   let snap = SSnap.of_db db in
   List.iter
@@ -570,7 +570,7 @@ let check_planner () =
           (match SE.exec_snapshot snap (SA.Select s) with
           | Some (Ok r) -> if r <> adaptive then fail_check "planner %s: snapshot differs" label
           | Some (Error e) -> fail_check "planner %s: snapshot: %s" label e
-          | None -> ()))
+          | None -> fail_check "planner %s: snapshot declined" label))
     planner_queries
 
 (* The checks run with observability on, so the counter snapshot embedded

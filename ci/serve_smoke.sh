@@ -42,8 +42,10 @@ grep -q 'drained, bye' "$DIR/serve.log" || { echo "serve smoke: no drain message
 [ ! -e "$SOCK" ] || { echo "serve smoke: socket not unlinked" >&2; exit 1; }
 
 # Sharded smoke: boot again with four shards and pipeline a script that
-# spans two tables (so statements hash to different shards, and the point
-# SELECTs ride the lock-free snapshot path), then run the identical script
+# spans several tables (so statements hash to different shards, and every
+# SELECT — point, open-bound, OR, GROUP BY, and a JOIN of "custs" and
+# "items", which share a shard of four — rides the lock-free snapshot
+# path), then run the identical script
 # in-process with `secdb_cli sql` and require byte-identical outcomes —
 # sharding and the snapshot fast path must be invisible to clients.
 SOCK4="$DIR/db4.sock"
@@ -66,6 +68,19 @@ STMTS=(
   "SELECT v FROM b WHERE id = 10"
   "DELETE FROM a WHERE id = 1"
   "SELECT id, v FROM a ORDER BY id"
+  "INSERT INTO a VALUES (3, 'x3')"
+  "SELECT id FROM a WHERE v > 'x3'"
+  "SELECT id, v FROM a WHERE id = 3 OR v = 'x9'"
+  "SELECT v, count(*) FROM a GROUP BY v"
+  "CREATE TABLE custs (id INT CLEAR, name TEXT)"
+  "CREATE TABLE items (id INT CLEAR, cust_id INT, sku TEXT)"
+  "CREATE INDEX ON items (cust_id)"
+  "INSERT INTO custs VALUES (1, 'amy')"
+  "INSERT INTO custs VALUES (2, 'bob')"
+  "INSERT INTO items VALUES (10, 2, 'bolt')"
+  "INSERT INTO items VALUES (11, 1, 'nut')"
+  "INSERT INTO items VALUES (12, 2, 'cog')"
+  "SELECT name, sku FROM custs JOIN items ON custs.id = items.cust_id WHERE custs.id >= 1 ORDER BY sku DESC LIMIT 2"
 )
 
 CLIENT_ARGS=()

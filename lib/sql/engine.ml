@@ -16,13 +16,11 @@ let ( let* ) = Result.bind
 
 (* --- predicate evaluation ------------------------------------------------ *)
 
+(* [resolve] has checked every column and operand, so evaluation cannot fail *)
 let eval_operand schema row = function
-  | Ast.Col c -> (
-      match Schema.col_index schema c with
-      | i -> Ok row.(i)
-      | exception Not_found -> Error (Printf.sprintf "unknown column %s" c))
-  | Ast.Lit v -> Ok v
-  | e -> Error (Fmt.str "expected a column or literal, got %a" Ast.pp_expr e)
+  | Ast.Col c -> row.(Schema.col_index schema c)
+  | Ast.Lit v -> v
+  | e -> invalid_arg (Fmt.str "unresolved operand %a" Ast.pp_expr e)
 
 (* SQL-ish semantics: any comparison involving NULL is false *)
 let compare_values op a b =
@@ -38,26 +36,32 @@ let compare_values op a b =
     | Ast.Ge -> c >= 0
 
 let rec eval schema row = function
-  | Ast.Cmp (op, a, b) ->
-      let* va = eval_operand schema row a in
-      let* vb = eval_operand schema row b in
-      Ok (compare_values op va vb)
+  | Ast.Cmp (op, a, b) -> compare_values op (eval_operand schema row a) (eval_operand schema row b)
   | Ast.Between (e, lo, hi) ->
-      let* v = eval_operand schema row e in
-      let* vlo = eval_operand schema row lo in
-      let* vhi = eval_operand schema row hi in
-      Ok (compare_values Ast.Ge v vlo && compare_values Ast.Le v vhi)
-  | Ast.And (a, b) ->
-      let* va = eval schema row a in
-      if va then eval schema row b else Ok false
-  | Ast.Or (a, b) ->
-      let* va = eval schema row a in
-      if va then Ok true else eval schema row b
-  | Ast.Not e ->
-      let* v = eval schema row e in
-      Ok (not v)
-  | (Ast.Col _ | Ast.Lit _) as e ->
-      Error (Fmt.str "not a predicate: %a" Ast.pp_expr e)
+      let v = eval_operand schema row e in
+      compare_values Ast.Ge v (eval_operand schema row lo)
+      && compare_values Ast.Le v (eval_operand schema row hi)
+  | Ast.And (a, b) -> eval schema row a && eval schema row b
+  | Ast.Or (a, b) -> eval schema row a || eval schema row b
+  | Ast.Not e -> not (eval schema row e)
+  | (Ast.Col _ | Ast.Lit _) as e -> invalid_arg (Fmt.str "unresolved predicate %a" Ast.pp_expr e)
+
+(* --- row sources -----------------------------------------------------------
+
+   One executor runs over two row sources: the sealed database, whose
+   every cell read is an authenticated decryption (through the index
+   walker in [mode]), and a published {!Snapshot.t}, which already holds
+   the authenticated plaintext.  Resolution, joins and the
+   filter/sort/limit/projection tail are shared; only schema lookup and
+   the access-path fetch look at the source. *)
+
+type source = Sealed of Encdb.t * Walker.mode | Plain of Snapshot.t
+
+let schema_of src table =
+  match src with
+  | Sealed (db, _) -> (
+      match Encdb.table db table with t -> Some (Etable.schema t) | exception Not_found -> None)
+  | Plain snap -> Option.map Snapshot.schema (Snapshot.table snap table)
 
 (* --- name resolution ------------------------------------------------------
 
@@ -67,7 +71,10 @@ let rec eval schema row = function
    resolve against both schemas, erroring when ambiguous) and the result
    schema is the two tables' columns under their qualified names, left
    table first — declared order, independent of which side the planner
-   later makes the outer. *)
+   later makes the outer.  Every column reference must name a column of
+   the result schema and every comparison operand must be a column or a
+   literal, so an invalid query fails here — the same way whatever the
+   plan, the data or the row source. *)
 
 type resolved = {
   rs : Ast.select;
@@ -79,48 +86,60 @@ type resolved = {
 
 exception Resolve of string
 
-let schema_of_exn db table =
-  match Encdb.table db table with
-  | t -> Etable.schema t
-  | exception Not_found -> raise (Resolve (Printf.sprintf "unknown table %s" table))
+let schema_of_exn src table =
+  match schema_of src table with
+  | Some schema -> schema
+  | None -> raise (Resolve (Printf.sprintf "unknown table %s" table))
 
+(* rewrite every column reference through [f], checking the shape of the
+   WHERE clause on the way *)
 let map_cols f s =
-  let rec expr = function
+  let operand = function
     | Ast.Col c -> Ast.Col (f c)
     | Ast.Lit _ as e -> e
-    | Ast.Cmp (op, a, b) -> Ast.Cmp (op, expr a, expr b)
-    | Ast.Between (a, lo, hi) -> Ast.Between (expr a, expr lo, expr hi)
-    | Ast.And (a, b) -> Ast.And (expr a, expr b)
-    | Ast.Or (a, b) -> Ast.Or (expr a, expr b)
-    | Ast.Not a -> Ast.Not (expr a)
+    | e -> raise (Resolve (Fmt.str "expected a column or literal, got %a" Ast.pp_expr e))
+  in
+  let rec pred = function
+    | Ast.Cmp (op, a, b) -> Ast.Cmp (op, operand a, operand b)
+    | Ast.Between (a, lo, hi) -> Ast.Between (operand a, operand lo, operand hi)
+    | Ast.And (a, b) -> Ast.And (pred a, pred b)
+    | Ast.Or (a, b) -> Ast.Or (pred a, pred b)
+    | Ast.Not a -> Ast.Not (pred a)
+    | (Ast.Col _ | Ast.Lit _) as e -> raise (Resolve (Fmt.str "not a predicate: %a" Ast.pp_expr e))
   in
   let item = function
     | Ast.Field c -> Ast.Field (f c)
     | Ast.Aggregate (fn, col) -> Ast.Aggregate (fn, Option.map f col)
   in
-  {
-    s with
-    Ast.items = Option.map (List.map item) s.Ast.items;
-    where = Option.map expr s.Ast.where;
-    group_by = Option.map f s.Ast.group_by;
-    order_by = Option.map (fun (c, d) -> (f c, d)) s.Ast.order_by;
-  }
+  (* explicit order: the first invalid reference names the error *)
+  let where = Option.map pred s.Ast.where in
+  let order_by = Option.map (fun (c, d) -> (f c, d)) s.Ast.order_by in
+  let group_by = Option.map f s.Ast.group_by in
+  let items = Option.map (List.map item) s.Ast.items in
+  { s with Ast.items; where; group_by; order_by }
 
-let resolve_exn db (s : Ast.select) =
+(* [f], then require the result to name a column of [schema] *)
+let checked schema f c =
+  let c = f c in
+  match Schema.col_index schema c with
+  | _ -> c
+  | exception Not_found -> raise (Resolve (Printf.sprintf "unknown column %s" c))
+
+let resolve_exn src (s : Ast.select) =
   match s.Ast.join with
   | None ->
-      let schema = schema_of_exn db s.Ast.table in
+      let schema = schema_of_exn src s.Ast.table in
       let strip c =
         match Planner.split_qual c with
         | Some (t, b) when t = s.Ast.table -> b
         | Some (t, _) -> raise (Resolve (Printf.sprintf "unknown table %s in reference %s" t c))
         | None -> c
       in
-      { rs = map_cols strip s; schema; join = None }
+      { rs = map_cols (checked schema strip) s; schema; join = None }
   | Some j ->
       let t1 = s.Ast.table and t2 = j.Ast.jtable in
       if t1 = t2 then raise (Resolve (Printf.sprintf "self-join on %s is not supported" t1));
-      let s1 = schema_of_exn db t1 and s2 = schema_of_exn db t2 in
+      let s1 = schema_of_exn src t1 and s2 = schema_of_exn src t2 in
       let has sc b = match Schema.col_index sc b with _ -> true | exception Not_found -> false in
       let qualify c =
         match Planner.split_qual c with
@@ -134,17 +153,6 @@ let resolve_exn db (s : Ast.select) =
             else if in2 then t2 ^ "." ^ c
             else raise (Resolve (Printf.sprintf "unknown column %s" c))
       in
-      (* the ON clause's two sides must land on the two distinct tables;
-         normalize to (left table, left col, right table, right col) *)
-      let on_side c =
-        match Planner.split_qual (qualify c) with
-        | Some tb -> tb
-        | None -> assert false
-      in
-      let (ta, ca) = on_side j.Ast.on_left and (tb, cb) = on_side j.Ast.on_right in
-      if ta = tb then
-        raise (Resolve (Printf.sprintf "join ON must relate %s to %s" t1 t2));
-      let c1, c2 = if ta = t1 then (ca, cb) else (cb, ca) in
       let qualified t sc =
         List.init (Schema.ncols sc) (fun i ->
             let c = Schema.col sc i in
@@ -153,19 +161,30 @@ let resolve_exn db (s : Ast.select) =
       let schema =
         Schema.v ~table_name:(t1 ^ "+" ^ t2) (qualified t1 s1 @ qualified t2 s2)
       in
-      { rs = map_cols qualify s; schema; join = Some (t1, c1, t2, c2) }
+      (* the ON clause's two sides must land on the two distinct tables;
+         normalize to (left table, left col, right table, right col) *)
+      let on_side c =
+        match Planner.split_qual (checked schema qualify c) with
+        | Some tb -> tb
+        | None -> assert false
+      in
+      let (ta, ca) = on_side j.Ast.on_left and (tb, cb) = on_side j.Ast.on_right in
+      if ta = tb then
+        raise (Resolve (Printf.sprintf "join ON must relate %s to %s" t1 t2));
+      let c1, c2 = if ta = t1 then (ca, cb) else (cb, ca) in
+      { rs = map_cols (checked schema qualify) s; schema; join = Some (t1, c1, t2, c2) }
 
-let resolve db s = try Ok (resolve_exn db s) with Resolve e -> Error e
+let resolve src s = try Ok (resolve_exn src s) with Resolve e -> Error e
 
 (* --- planning ------------------------------------------------------------ *)
 
 let plan_of_select db (s : Ast.select) =
-  match resolve db s with
+  match resolve (Sealed (db, Walker.Corrected)) s with
   | Ok r -> Planner.choose db r.rs ~join:r.join
   | Error e -> failwith e
 
 let candidate_plans db (s : Ast.select) =
-  match resolve db s with
+  match resolve (Sealed (db, Walker.Corrected)) s with
   | Ok r -> Planner.candidates db r.rs ~join:r.join
   | Error e -> failwith e
 
@@ -175,19 +194,14 @@ let pp_plan = Plan.pp
 
 let is_aggregate = function Ast.Aggregate _ -> true | Ast.Field _ -> false
 
-let col_index_res schema c =
-  match Schema.col_index schema c with
-  | i -> Ok i
-  | exception Not_found -> Error (Printf.sprintf "unknown column %s" c)
-
 (* fold an aggregate over a group of rows *)
 let aggregate schema fn col rows =
-  let* values =
-    match col with
-    | None -> Ok None
-    | Some c ->
-        let* i = col_index_res schema c in
-        Ok (Some (List.map (fun (_, vs) -> vs.(i)) rows))
+  let values =
+    Option.map
+      (fun c ->
+        let i = Schema.col_index schema c in
+        List.map (fun (_, vs) -> vs.(i)) rows)
+      col
   in
   match (fn, values) with
   | Ast.Count, None -> Ok (Value.Int (Int64.of_int (List.length rows)))
@@ -236,7 +250,7 @@ let project schema (s : Ast.select) rows =
       match s.Ast.group_by with
       | None -> Ok [ (Value.Null, rows) ]
       | Some c ->
-          let* i = col_index_res schema c in
+          let i = Schema.col_index schema c in
           let tbl = Hashtbl.create 16 in
           let order = ref [] in
           List.iter
@@ -281,17 +295,10 @@ let project schema (s : Ast.select) rows =
     Ok (Rows { columns; rows = out })
   end
   else begin
-    let* col_ids =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          match item with
-          | Ast.Field c ->
-              let* i = col_index_res schema c in
-              Ok (i :: acc)
-          | Ast.Aggregate _ -> assert false)
-        (Ok []) items
-      |> Result.map List.rev
+    let col_ids =
+      List.map
+        (function Ast.Field c -> Schema.col_index schema c | Ast.Aggregate _ -> assert false)
+        items
     in
     if s.Ast.group_by <> None then Error "GROUP BY requires aggregates in the select list"
     else
@@ -306,37 +313,43 @@ let project schema (s : Ast.select) rows =
 (* --- execution ------------------------------------------------------------ *)
 
 (* every access path hands its candidates over in ascending row order —
-   the canonical order that makes all plans (and the snapshot fast path)
+   the canonical order that makes all plans, over either row source,
    byte-identical before the shared filter/sort/limit tail *)
 let canonical rows = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows
 
-let access_rows db ~mode ~table access =
+let access_rows src ~table access =
   let* rows =
-    match access with
-    | Plan.Index_probe { col; lo; hi; _ } -> Encdb.select_range db ~table ~col ~mode ?lo ?hi ()
-    | Plan.Bucket_scan { col; lo; hi; _ } -> Encdb.select_range_bucketed db ~table ~col ?lo ?hi ()
-    | Plan.Seq_scan -> Etable.select_result (Encdb.table db table) (fun _ -> true)
+    match (src, access) with
+    | Sealed (db, mode), Plan.Index_probe { col; lo; hi; _ } ->
+        Encdb.select_range db ~table ~col ~mode ?lo ?hi ()
+    | Sealed (db, _), Plan.Bucket_scan { col; lo; hi; _ } ->
+        Encdb.select_range_bucketed db ~table ~col ?lo ?hi ()
+    | Sealed (db, _), Plan.Seq_scan -> Etable.select_result (Encdb.table db table) (fun _ -> true)
+    | Plain snap, access -> (
+        let ts = Option.get (Snapshot.table snap table) in
+        match access with
+        | Plan.Index_probe { col; lo; hi; _ } ->
+            Ok (Option.get (Snapshot.index_range ts ~col ?lo ?hi ()))
+        | Plan.Seq_scan | Plan.Bucket_scan _ -> Ok (Snapshot.all_rows ts))
   in
   Ok (canonical rows)
 
 (* inner equi-join.  Output rows are keyed (left row, right row) and the
    values are left table's cells then right table's, whatever side the
    plan made the outer; Null join keys match nothing on either side. *)
-let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped =
-  let oschema = Etable.schema (Encdb.table db outer) in
-  let ischema = Etable.schema (Encdb.table db inner) in
-  let* oi = col_index_res oschema outer_col in
-  let* ii = col_index_res ischema inner_col in
+let join_rows src ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped =
+  let oi = Schema.col_index (Option.get (schema_of src outer)) outer_col in
+  let ii = Schema.col_index (Option.get (schema_of src inner)) inner_col in
   let combine (orow, ovs) (irow, ivs) =
     if swapped then ((irow, orow), Array.append ivs ovs)
     else ((orow, irow), Array.append ovs ivs)
   in
-  let* outer_rows = access_rows db ~mode ~table:outer outer_access in
+  let* outer_rows = access_rows src ~table:outer outer_access in
   let* pairs =
     match strategy with
     | Plan.Loop_join ->
         (* materialize the inner once, hash it on the join key *)
-        let* inner_rows = access_rows db ~mode ~table:inner Plan.Seq_scan in
+        let* inner_rows = access_rows src ~table:inner Plan.Seq_scan in
         let buckets = Hashtbl.create 64 in
         List.iter
           (fun ((_, ivs) as ir) ->
@@ -364,16 +377,18 @@ let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_c
              outer_rows)
     | Plan.Index_loop_join ->
         (* one exact-index probe on the inner table per outer row *)
+        let probe k =
+          Plan.Index_probe { col = inner_col; lo = Some k; hi = Some k; estimate = 1.0 }
+        in
         List.fold_left
           (fun acc ((_, ovs) as orow) ->
             let* acc = acc in
             let k = ovs.(oi) in
             if k = Value.Null then Ok acc
             else
-              let* matches = Encdb.select_eq db ~table:inner ~col:inner_col ~mode k in
+              let* matches = access_rows src ~table:inner (probe k) in
               let matches =
-                List.filter (fun (_, ivs) -> compare_values Ast.Eq ivs.(ii) k)
-                  (canonical matches)
+                List.filter (fun (_, ivs) -> compare_values Ast.Eq ivs.(ii) k) matches
               in
               Ok (List.rev_append (List.rev_map (combine orow) matches) acc))
           (Ok []) outer_rows
@@ -381,34 +396,25 @@ let join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_c
   in
   Ok (List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) pairs)
 
-(* residual filter, order, limit, projection — shared between the locked
-   executor and the snapshot fast path, so both produce identical bytes *)
+(* residual filter, order, limit, projection — the one tail every plan
+   over either row source runs, so all produce identical bytes *)
 let finish_select schema (s : Ast.select) candidates =
   (* residual filter: the full predicate, always *)
-  let* filtered =
+  let filtered =
     match s.Ast.where with
-    | None -> Ok candidates
-    | Some where ->
-        List.fold_left
-          (fun acc (row, values) ->
-            let* acc = acc in
-            let* keep = eval schema values where in
-            Ok (if keep then (row, values) :: acc else acc))
-          (Ok []) candidates
-        |> Result.map List.rev
+    | None -> candidates
+    | Some where -> List.filter (fun (_, values) -> eval schema values where) candidates
   in
-  let* ordered =
+  let ordered =
     match s.Ast.order_by with
-    | None -> Ok filtered
-    | Some (c, dir) -> (
-        match Schema.col_index schema c with
-        | i ->
-            let cmp (_, a) (_, b) =
-              let d = Value.compare a.(i) b.(i) in
-              match dir with Ast.Asc -> d | Ast.Desc -> -d
-            in
-            Ok (List.stable_sort cmp filtered)
-        | exception Not_found -> Error (Printf.sprintf "unknown column %s" c))
+    | None -> filtered
+    | Some (c, dir) ->
+        let i = Schema.col_index schema c in
+        let cmp (_, a) (_, b) =
+          let d = Value.compare a.(i) b.(i) in
+          match dir with Ast.Asc -> d | Ast.Desc -> -d
+        in
+        List.stable_sort cmp filtered
   in
   let limited =
     match s.Ast.limit with
@@ -423,97 +429,96 @@ let finish_select schema (s : Ast.select) candidates =
   project schema s limited
 
 (* per-plan latency histograms feed the cost model's feedback input; only
-   touched while obs is on so obs-off processes keep an empty registry *)
-let timed plan f =
-  if Obs.on () then
-    Metrics.time (Metrics.histogram ~labels:[ ("plan", Plan.name plan) ] "sql.plan_latency") f
-  else f ()
+   touched while obs is on so obs-off processes keep an empty registry,
+   and only for the sealed source the cost model prices *)
+let timed src plan f =
+  match src with
+  | Sealed _ when Obs.on () ->
+      Metrics.time (Metrics.histogram ~labels:[ ("plan", Plan.name plan) ] "sql.plan_latency") f
+  | Sealed _ | Plain _ -> f ()
 
-let exec_resolved db ~mode (r : resolved) plan =
-  timed plan (fun () ->
+let exec_resolved src (r : resolved) plan =
+  timed src plan (fun () ->
       match (plan, r.join) with
       | Plan.Scan { table; access; _ }, None ->
-          let* rows = access_rows db ~mode ~table access in
+          let* rows = access_rows src ~table access in
           finish_select r.schema r.rs rows
       | ( Plan.Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped; _ },
           Some _ ) ->
           let* rows =
-            join_rows db ~mode ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col
-              ~swapped
+            join_rows src ~outer ~outer_access ~inner ~strategy ~outer_col ~inner_col ~swapped
           in
           finish_select r.schema r.rs rows
       | _ -> Error "plan does not match the query's shape")
 
 let run_select db ~mode (s : Ast.select) =
-  let* r = resolve db s in
-  let plan = Planner.choose db r.rs ~join:r.join in
-  exec_resolved db ~mode r plan
+  let src = Sealed (db, mode) in
+  let* r = resolve src s in
+  exec_resolved src r (Planner.choose db r.rs ~join:r.join)
 
 (* execute under a caller-chosen plan (bench and oracle tests force every
    candidate and compare bytes) *)
 let exec_plan db ?(mode = Walker.Corrected) (s : Ast.select) plan =
-  let* r = resolve db s in
-  exec_resolved db ~mode r plan
+  let src = Sealed (db, mode) in
+  let* r = resolve src s in
+  exec_resolved src r plan
 
-(* --- snapshot fast path ---------------------------------------------------
+(* --- snapshot plans --------------------------------------------------------
 
-   A point lookup — SELECT with WHERE exactly [col = literal] — or a
-   single-column range — [col BETWEEN lo AND hi] — can be answered from a
-   shard's published {!Snapshot.t} without the shard lock.  The candidate
-   set is canonicalized to ascending row order — the same order every
-   executor plan now presents — and the tail is {!finish_select} itself,
-   so the bytes match the locked executor's.  JOINs, and selects using
-   qualified [table.column] references (whose resolution needs the live
-   catalog), return [None] and fall through to the locked engine — a
-   structured fallback, never an exception. *)
+   The snapshot has no {!Encdb} to price plans with, so its plan follows a
+   fixed rule instead of a cost model: seek the first sargable bound on a
+   key-indexed column, otherwise scan.  A join's outer is the first table,
+   in declared order, with such a bound (otherwise the left table); the
+   inner is probed per outer row when its join column is key-indexed,
+   hashed once otherwise. *)
 
-let uses_qualified_names (s : Ast.select) =
-  let qual c = String.contains c '.' in
-  let rec expr = function
-    | Ast.Col c -> qual c
-    | Ast.Lit _ -> false
-    | Ast.Cmp (_, a, b) | Ast.And (a, b) | Ast.Or (a, b) -> expr a || expr b
-    | Ast.Between (a, lo, hi) -> expr a || expr lo || expr hi
-    | Ast.Not a -> expr a
+let snapshot_plan snap (r : resolved) =
+  let seek table col_of =
+    let ts = Option.get (Snapshot.table snap table) in
+    let indexed c =
+      Option.fold (col_of c) ~none:false ~some:(fun col -> Snapshot.has_index ts ~col)
+    in
+    match Option.map (Planner.collect_bounds ~eligible:indexed) r.rs.Ast.where with
+    | Some ((c, (lo, hi)) :: _) ->
+        Some (Plan.Index_probe { col = Option.get (col_of c); lo; hi; estimate = 1.0 })
+    | None | Some [] -> None
   in
-  let item = function
-    | Ast.Field c -> qual c
-    | Ast.Aggregate (_, col) -> Option.fold ~none:false ~some:qual col
-  in
-  (match s.Ast.items with Some items -> List.exists item items | None -> false)
-  || Option.fold ~none:false ~some:expr s.Ast.where
-  || Option.fold ~none:false ~some:qual s.Ast.group_by
-  || (match s.Ast.order_by with Some (c, _) -> qual c | None -> false)
+  match r.join with
+  | None ->
+      let table = r.rs.Ast.table in
+      let access = Option.value (seek table Option.some) ~default:Plan.Seq_scan in
+      Plan.Scan { table; access; cost = 0.0 }
+  | Some (t1, c1, t2, c2) ->
+      let col_of t c =
+        match Planner.split_qual c with Some (t', b) when t' = t -> Some b | _ -> None
+      in
+      let sides = [ (t1, c1, t2, c2, false); (t2, c2, t1, c1, true) ] in
+      let (outer, outer_col, inner, inner_col, swapped), outer_access =
+        List.find_map
+          (fun ((ot, _, _, _, _) as side) ->
+            Option.map (fun a -> (side, a)) (seek ot (col_of ot)))
+          sides
+        |> Option.value ~default:(List.hd sides, Plan.Seq_scan)
+      in
+      let strategy =
+        if Snapshot.has_index (Option.get (Snapshot.table snap inner)) ~col:inner_col then
+          Plan.Index_loop_join
+        else Plan.Loop_join
+      in
+      Plan.Join { outer; outer_access; inner; strategy; outer_col; inner_col; swapped; cost = 0.0 }
 
-let snapshot_select snap (s : Ast.select) ~col candidates_of =
-  match Snapshot.table snap s.Ast.table with
-  | None -> None
-  | Some ts -> (
-      let schema = Snapshot.schema ts in
-      match Schema.col_index schema col with
-      | exception Not_found ->
-          (* unknown-column errors depend on scan order; let the executor
-             report them canonically *)
-          None
-      | ci -> Some (finish_select schema s (canonical (candidates_of ts ci))))
+let protect f =
+  try f () with
+  | Invalid_argument e | Failure e -> Error e
+  | Not_found -> Error "no such table or column"
 
-let exec_snapshot snap stmt =
-  match stmt with
-  | Ast.Select s when s.Ast.join <> None || uses_qualified_names s -> None
-  | Ast.Select s -> (
-      match s.Ast.where with
-      | Some (Ast.Cmp (Ast.Eq, Ast.Col c, Ast.Lit v))
-      | Some (Ast.Cmp (Ast.Eq, Ast.Lit v, Ast.Col c)) ->
-          snapshot_select snap s ~col:c (fun ts ci ->
-              match Snapshot.index_probe ts ~col:ci v with
-              | Some rows -> rows
-              | None -> Snapshot.all_rows ts)
-      | Some (Ast.Between (Ast.Col c, Ast.Lit lo, Ast.Lit hi)) ->
-          snapshot_select snap s ~col:c (fun ts ci ->
-              match Snapshot.index_range ts ~col:ci ~lo ~hi with
-              | Some rows -> rows
-              | None -> Snapshot.all_rows ts)
-      | _ -> None)
+let exec_snapshot snap = function
+  | Ast.Select s when List.for_all (fun t -> Snapshot.table snap t <> None) (Ast.select_tables s) ->
+      Some
+        (protect (fun () ->
+             let src = Plain snap in
+             let* r = resolve src s in
+             exec_resolved src r (snapshot_plan snap r)))
   | _ -> None
 
 (* rows matching a WHERE clause, for UPDATE/DELETE *)
@@ -529,29 +534,17 @@ let matching_rows db ~mode ~table where =
       limit = None;
     }
   in
-  let* r = resolve db s in
+  let src = Sealed (db, mode) in
+  let* r = resolve src s in
   let* candidates =
     match Planner.choose db r.rs ~join:None with
-    | Plan.Scan { table = t; access; _ } -> access_rows db ~mode ~table:t access
+    | Plan.Scan { table = t; access; _ } -> access_rows src ~table:t access
     | Plan.Join _ -> assert false
   in
-  match r.rs.Ast.where with
-  | None -> Ok (List.map fst candidates)
-  | Some w ->
-      List.fold_left
-        (fun acc (row, values) ->
-          let* acc = acc in
-          let* keep = eval r.schema values w in
-          Ok (if keep then row :: acc else acc))
-        (Ok []) candidates
-      |> Result.map List.rev
+  let keep (_, values) = Option.fold r.rs.Ast.where ~none:true ~some:(eval r.schema values) in
+  Ok (List.map fst (List.filter keep candidates))
 
 let exec_stmt db ?(mode = Walker.Corrected) stmt =
-  let protect f =
-    try f () with
-    | Invalid_argument e | Failure e -> Error e
-    | Not_found -> Error "no such table or column"
-  in
   match stmt with
   | Ast.Select s -> protect (fun () -> run_select db ~mode s)
   | Ast.Explain s ->

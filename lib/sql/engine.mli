@@ -48,16 +48,21 @@ val exec_plan :
     compare bytes. *)
 
 val exec_snapshot : Snapshot.t -> Ast.stmt -> (outcome, string) result option
-(** Answer a point lookup — [SELECT … WHERE col = literal] — or a range
-    select — [SELECT … WHERE col BETWEEN lit AND lit] — from an immutable
-    {!Snapshot.t} instead of the live database: the sharded server's
-    lock-free read path.  The candidate set and the shared
-    filter/order/limit/projection tail reproduce {!exec_stmt}'s result
-    byte for byte on uncorrupted data.  [None] when the statement is not
-    of those shapes — JOINs and qualified [table.column] references
-    included — or the snapshot has never seen the table: the caller must
-    fall back to the locked executor.  The refusal is structured ([None],
-    never an exception). *)
+(** Answer any SELECT — JOINs, open bounds, OR/NOT, grouped aggregates,
+    ORDER BY and LIMIT included — from an immutable {!Snapshot.t} instead
+    of the live database: the sharded server's lock-free read path, with
+    no decryption at all.  It runs the same resolution, join and
+    filter/order/limit/projection code as {!exec_stmt} over the
+    snapshot's rows, so the result — an error included — is {!exec_stmt}'s
+    byte for byte on uncorrupted data.  With no cost model to consult, the
+    plan follows a fixed rule: seek the first sargable bound on a
+    key-indexed column, otherwise scan; a JOIN's outer is the first table,
+    in declared order, with such a bound, and its inner is probed when the
+    join column is key-indexed.  [None] — a structured refusal, never an
+    exception — for non-SELECT statements and when the snapshot does not
+    hold one of the SELECT's tables (an unknown table, or one
+    {!Snapshot.of_db} left out after an integrity failure): the caller
+    falls back to the locked executor. *)
 
 val exec :
   Secdb.Encdb.t -> ?mode:Secdb_query.Walker.mode -> string -> (outcome, string) result

@@ -31,26 +31,22 @@ let all_rows ts = Imap.bindings ts.rows
 (* prepend [rows] with their values to [acc], last row first *)
 let rev_append_rows ts rows acc = Iset.fold (fun r acc -> (r, Imap.find r ts.rows) :: acc) rows acc
 
-let index_probe ts ~col v =
-  Option.map
-    (fun m ->
-      match Vmap.find_opt v m with
-      | None -> []
-      | Some rows -> List.map (fun r -> (r, Imap.find r ts.rows)) (Iset.elements rows))
-    ts.keys.(col)
+let key_map ts col = ts.keys.(Schema.col_index ts.schema col)
+let has_index ts ~col = key_map ts col <> None
 
 (* seek to the first key [>= lo], stop at the first key [> hi]: O(log n + k) *)
-let index_range ts ~col ~lo ~hi =
+let index_range ts ~col ?lo ?hi () =
   Option.map
     (fun m ->
       let rec take seq acc =
         match seq () with
-        | Seq.Cons ((v, rows), rest) when Value.compare v hi <= 0 ->
+        | Seq.Cons ((v, rows), rest)
+          when Option.fold hi ~none:true ~some:(fun hi -> Value.compare v hi <= 0) ->
             take rest (rev_append_rows ts rows acc)
         | _ -> List.rev acc
       in
-      take (Vmap.to_seq_from lo m) [])
-    ts.keys.(col)
+      take (match lo with Some lo -> Vmap.to_seq_from lo m | None -> Vmap.to_seq m) [])
+    (key_map ts col)
 
 let add_key m v row =
   Vmap.update v

@@ -533,6 +533,79 @@ let test_snapshot_fast_path () =
   | Secdb_sql.Engine.Rows { rows = []; _ } -> ()
   | _ -> Alcotest.fail "deleted row still visible through the snapshot"
 
+(* A same-shard JOIN is answered by the snapshot like any other SELECT:
+   the hit counter moves and the miss counter does not, writes to the
+   inner table are visible to the next JOIN on the connection, and a JOIN
+   across shards is still refused with the structured error. *)
+let test_snapshot_join () =
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let shards = 4 in
+  let slot n = Secdb_db.Shard.key_index ~shards n in
+  let rec pick i p =
+    let n = Printf.sprintf "sj%d" i in
+    if p n then n else pick (i + 1) p
+  in
+  let t1 = "sj0" in
+  let t2 = pick 1 (fun n -> slot n = slot t1) in
+  let t3 = pick 1 (fun n -> slot n <> slot t1) in
+  with_server ~config:(Server.config ~auth_key ~shards ()) @@ fun addr ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let sql q =
+    match Client.call c (Wire.Sql q) with
+    | Ok (Wire.Outcome o) -> o
+    | Ok _ -> Alcotest.failf "sql %s: unexpected response form" q
+    | Error e -> Alcotest.failf "sql %s: %s" q (Client.error_to_string e)
+  in
+  let counters () =
+    match Client.call c (Wire.Stats `Text) with
+    | Ok (Wire.Stats_dump d) ->
+        (counter_value d "shard.snapshot_hits", counter_value d "shard.snapshot_misses")
+    | Ok _ | Error _ -> Alcotest.fail "stats rpc"
+  in
+  List.iter
+    (fun q -> ignore (sql q))
+    [
+      Printf.sprintf "CREATE TABLE %s (id INT CLEAR, v TEXT)" t1;
+      Printf.sprintf "CREATE TABLE %s (id INT CLEAR, w TEXT)" t2;
+      Printf.sprintf "CREATE INDEX ON %s (id)" t2;
+      Printf.sprintf "INSERT INTO %s VALUES (1, 'a')" t1;
+      Printf.sprintf "INSERT INTO %s VALUES (2, 'b')" t1;
+      Printf.sprintf "INSERT INTO %s VALUES (2, 'x')" t2;
+      Printf.sprintf "INSERT INTO %s VALUES (2, 'y')" t2;
+    ];
+  let join () =
+    match
+      sql
+        (Printf.sprintf "SELECT v, w FROM %s JOIN %s ON %s.id = %s.id ORDER BY w DESC LIMIT 2" t1
+           t2 t1 t2)
+    with
+    | Secdb_sql.Engine.Rows { rows; _ } ->
+        List.map (List.map (function Value.Text s -> s | _ -> "?")) rows
+    | _ -> Alcotest.fail "join answer"
+  in
+  let rows = Alcotest.(list (list string)) in
+  let hits0, misses0 = counters () in
+  Alcotest.check rows "join" [ [ "b"; "y" ]; [ "b"; "x" ] ] (join ());
+  (* read-your-writes through the snapshot: an INSERT, then an UPDATE,
+     on the inner table *)
+  ignore (sql (Printf.sprintf "INSERT INTO %s VALUES (1, 'z')" t2));
+  Alcotest.check rows "sees own insert" [ [ "a"; "z" ]; [ "b"; "y" ] ] (join ());
+  ignore (sql (Printf.sprintf "UPDATE %s SET w = 'c' WHERE w = 'z'" t2));
+  Alcotest.check rows "sees own update" [ [ "b"; "y" ]; [ "b"; "x" ] ] (join ());
+  let hits1, misses1 = counters () in
+  Alcotest.(check int) "every join served from the snapshot" 3 (hits1 - hits0);
+  Alcotest.(check int) "no join fell through to the executor" misses0 misses1;
+  ignore (sql (Printf.sprintf "CREATE TABLE %s (id INT CLEAR, u TEXT)" t3));
+  match
+    client_error_to_result
+      (Client.call c (Wire.Sql (Printf.sprintf "SELECT * FROM %s JOIN %s ON %s.id = %s.id" t1 t3 t1 t3)))
+  with
+  | Error (Wire.App, msg) ->
+      Alcotest.(check bool) "cross-shard refusal" true (contains ~affix:"cross-shard JOIN" msg)
+  | Ok _ -> Alcotest.fail "cross-shard JOIN was answered"
+  | Error (code, msg) -> Alcotest.failf "wrong error class %d: %s" (Wire.err_code_to_int code) msg
+
 let test_interleaved_single_connection () =
   (* two in-flight batches interleaved on one connection: responses match
      their request ids, not arrival luck *)
@@ -673,6 +746,7 @@ let suites =
           test_sharded_join;
         Alcotest.test_case "point lookups ride the snapshot fast path" `Quick
           test_snapshot_fast_path;
+        Alcotest.test_case "same-shard JOINs ride the snapshot" `Quick test_snapshot_join;
         Alcotest.test_case "interleaved batches match responses by id" `Quick
           test_interleaved_single_connection;
         Alcotest.test_case "tampered request -> auth error, connection survives" `Quick

@@ -298,11 +298,12 @@ let prop_oracle =
           if sc.idx2 && not (List.exists (fun n -> n = "index-loop-join") names) then
             failwith "no index-loop-join despite inner index"
       | Single _ -> ());
-      (* the lock-free snapshot path, when it volunteers, matches too *)
+      (* the lock-free snapshot path answers every SELECT, JOINs included,
+         and matches too *)
       (match E.exec_snapshot (Snap.of_db db) (A.Select s) with
       | Some (Ok fast) -> if fast <> adaptive then failwith "snapshot diverges"
       | Some (Error e) -> failwith ("snapshot: " ^ e)
-      | None -> ());
+      | None -> failwith "snapshot declined a SELECT");
       (* EXPLAIN names the plan the executor would run *)
       (match E.exec_stmt db (A.Explain s) with
       | Ok (E.Plan p) ->

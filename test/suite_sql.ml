@@ -648,8 +648,11 @@ let prop_range_index_oracle =
 (* The snapshot as the server maintains it: primed empty, then folded one
    change at a time through [Snapshot.apply] while random mutations move
    index keys around — negative ints, NULLs, duplicates and text keys, an
-   index created before or after the rows it covers.  Every probe along
-   the way must answer exactly what the locked engine answers. *)
+   index created before or after the rows it covers — on two tables.
+   Every SELECT along the way (seeks with closed and open bounds, OR/NOT,
+   qualified names, ORDER BY DESC with LIMIT, grouped aggregates, and
+   JOINs in both declared orders) must be answered by the snapshot and
+   answer exactly what the locked engine answers. *)
 let prop_snapshot_apply_matches_locked =
   let open QCheck2.Gen in
   let int_lit = frequency [ (8, map string_of_int (int_range (-12) 12)); (1, return "NULL") ] in
@@ -662,18 +665,23 @@ let prop_snapshot_apply_matches_locked =
     frequency [ (8, map string_of_int (int_range (-15) 15)); (1, oneofl [ "'a'"; "NULL"; "TRUE" ]) ]
   in
   let text_bound = frequency [ (8, oneofl [ "''"; "'a'"; "'bob'"; "'c'"; "'z'" ]); (1, return "-3") ] in
+  let cmp = oneofl [ "<"; "<="; ">"; ">=" ] in
   let id = int_range 0 12 in
   let stmt =
     frequency
       [
         (1, oneofl [ "CREATE INDEX ON s (k)"; "CREATE INDEX ON s (name)" ]);
+        (1, oneofl [ "CREATE INDEX ON u (sk)"; "CREATE INDEX ON u (tag)" ]);
         (6, map3 (Printf.sprintf "INSERT INTO s VALUES (%d, %s, %s)") id int_lit text_lit);
+        (4, map3 (Printf.sprintf "INSERT INTO u VALUES (%d, %s, %s)") id int_lit text_lit);
         (3, map2 (Printf.sprintf "UPDATE s SET k = %s WHERE id = %d") int_lit id);
+        (2, map2 (Printf.sprintf "UPDATE u SET sk = %s WHERE id = %d") int_lit id);
         ( 2,
           map3 (Printf.sprintf "UPDATE s SET name = %s WHERE k BETWEEN %d AND %d") text_lit
             (int_range (-12) 12) (int_range (-12) 12) );
         (1, map (Printf.sprintf "DELETE FROM s WHERE id = %d") id);
         (1, map (Printf.sprintf "DELETE FROM s WHERE k = %s") int_lit);
+        (1, map (Printf.sprintf "DELETE FROM u WHERE sk > %s") int_lit);
         (2, map (Printf.sprintf "SELECT * FROM s WHERE k = %s") int_lit);
         (2, map (Printf.sprintf "SELECT id, k FROM s WHERE name = %s") text_lit);
         (3, map2 (Printf.sprintf "SELECT * FROM s WHERE k BETWEEN %s AND %s") int_bound int_bound);
@@ -682,6 +690,31 @@ let prop_snapshot_apply_matches_locked =
             (Printf.sprintf "SELECT id, k FROM s WHERE name BETWEEN %s AND %s ORDER BY k DESC LIMIT 4")
             text_bound text_bound );
         (1, map2 (Printf.sprintf "SELECT count(*) FROM s WHERE k BETWEEN %s AND %s") int_bound int_bound);
+        (* open bounds, one or two conjuncts *)
+        (3, map2 (Printf.sprintf "SELECT id, k FROM s WHERE k %s %s ORDER BY k DESC LIMIT 3") cmp int_bound);
+        ( 2,
+          map4 (Printf.sprintf "SELECT * FROM s WHERE k %s %s AND name %s %s") cmp int_bound cmp
+            text_bound );
+        (* OR and NOT: no seek, the residual filter decides *)
+        (2, map2 (Printf.sprintf "SELECT id FROM s WHERE k = %s OR name = %s") int_lit text_lit);
+        (2, map2 (Printf.sprintf "SELECT * FROM s WHERE NOT k %s %s") cmp int_bound);
+        (* qualified single-table names *)
+        (2, map (Printf.sprintf "SELECT s.id, s.name FROM s WHERE s.k >= %s ORDER BY s.id DESC") int_bound);
+        (* grouped aggregates *)
+        ( 2,
+          map (Printf.sprintf "SELECT name, count(*), sum(k) FROM s WHERE k > %s GROUP BY name") int_bound );
+        (1, return "SELECT sk, count(tag) FROM u GROUP BY sk");
+        (* JOINs, both declared orders, seeks on either side *)
+        ( 3,
+          map2
+            (Printf.sprintf
+               "SELECT s.id, u.tag FROM s JOIN u ON s.k = u.sk WHERE u.sk BETWEEN %s AND %s ORDER BY \
+                u.tag DESC LIMIT 5")
+            int_bound int_bound );
+        ( 2,
+          map2 (Printf.sprintf "SELECT * FROM u JOIN s ON u.sk = s.k WHERE k %s %s") cmp int_bound );
+        (2, map (Printf.sprintf "SELECT name, count(*) FROM s JOIN u ON k = sk WHERE tag = %s GROUP BY name") text_lit);
+        (1, map (Printf.sprintf "SELECT * FROM s JOIN u ON s.id = u.id WHERE s.id < %d OR tag = 'ann'") id);
       ]
   in
   QCheck2.Test.make ~name:"snapshot folded through apply = locked engine" ~count:60
@@ -698,6 +731,7 @@ let prop_snapshot_apply_matches_locked =
         pending := []
       in
       mutate "CREATE TABLE s (id INT CLEAR, k INT, name TEXT)";
+      mutate "CREATE TABLE u (id INT CLEAR, sk INT, tag TEXT)";
       List.for_all
         (fun sql ->
           match P.parse sql with
@@ -706,16 +740,51 @@ let prop_snapshot_apply_matches_locked =
               | Some fast when fast = E.exec db sql -> true
               | Some _ -> QCheck2.Test.fail_reportf "%s: snapshot answer differs" sql
               | None -> QCheck2.Test.fail_reportf "%s: snapshot declined" sql)
-          | _ ->
+          | Ok _ ->
               mutate sql;
-              true)
+              true
+          | Error e -> QCheck2.Test.fail_reportf "%s: %s" sql e)
         script)
+
+(* An invalid query fails the same way whatever the plan, the data or the
+   row source: an unknown column is rejected at resolution, never left to
+   the residual filter, which only sees it when some candidate row
+   survives the access path. *)
+let test_unknown_column_is_data_independent () =
+  let db, run = setup () in
+  List.iter
+    (fun sql -> ignore (run sql))
+    [
+      "CREATE TABLE t (id INT CLEAR, k INT)";
+      "CREATE INDEX ON t (k)";
+      "INSERT INTO t VALUES (1, 10)";
+      "INSERT INTO t VALUES (2, 20)";
+    ];
+  let snap = Snap.of_db db in
+  List.iter
+    (fun sql ->
+      let expect what = function
+        | Some (Error e) -> Alcotest.(check string) (what ^ ": " ^ sql) "unknown column nosuch" e
+        | Some (Ok r) -> Alcotest.failf "%s: %s answered %a" what sql E.pp_result r
+        | None -> Alcotest.failf "%s: %s declined" what sql
+      in
+      expect "sealed" (Some (E.exec db sql));
+      expect "snapshot" (E.exec_snapshot snap (parse_ok sql)))
+    [
+      "SELECT * FROM t WHERE k = 99 AND nosuch = 1";
+      "SELECT * FROM t WHERE k = 10 AND nosuch = 1";
+      "SELECT * FROM t WHERE id = 99 AND nosuch = 1";
+    ]
 
 let suites =
   suites
   @ [
       ( "sql:snapshot",
-        [ Test_seed.qc prop_snapshot_apply_matches_locked ] );
+        [
+          Test_seed.qc prop_snapshot_apply_matches_locked;
+          Alcotest.test_case "unknown column fails whatever the data and source" `Quick
+            test_unknown_column_is_data_independent;
+        ] );
       ( "sql:range-index",
         [
           Alcotest.test_case "parse CREATE RANGE INDEX" `Quick test_parse_create_range_index;

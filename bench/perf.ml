@@ -450,9 +450,9 @@ let check_net () =
   let reqs =
     [
       Secdb_net.Wire.Sql "CREATE TABLE n (id INT CLEAR, v TEXT)";
-      Secdb_net.Wire.Insert_row { table = "n"; values = [ Value.Int 0L; Value.Text "zero" ] };
-      Secdb_net.Wire.Insert_row { table = "n"; values = [ Value.Int 1L; Value.Text "one" ] };
-      Secdb_net.Wire.Get_cell { table = "n"; row = 1; col = "v" };
+      Secdb_net.Wire.Sql "INSERT INTO n VALUES (0, 'zero')";
+      Secdb_net.Wire.Sql "INSERT INTO n VALUES (1, 'one')";
+      Secdb_net.Wire.Sql "SELECT v FROM n WHERE id = 1";
       Secdb_net.Wire.Sql "SELECT count(*) FROM n";
       Secdb_net.Wire.Sql "SELECT no_such_fn(1) FROM n";
     ]

@@ -187,9 +187,9 @@ val update :
     when reading the old value. *)
 
 val delete_row : t -> table:string -> row:int -> (unit, string) result
-(** Tombstone a row and remove its entries from every index.  Row numbers
-    are never reused — the schemes bind ciphertexts to (t, r, c), so
-    compaction would force a full re-encryption (see
+(** Mark a row dead (a tombstone) and remove its entries from every
+    index.  Row numbers are never reused — the schemes bind ciphertexts
+    to (t, r, c), so compaction would force a full re-encryption (see
     {!Secdb_query.Encrypted_table.delete_row}). *)
 
 val save_paged : t -> path:string -> ?page_size:int -> ?vfs:Secdb_storage.Vfs.t -> unit -> unit

@@ -3,8 +3,6 @@ module Trace = Secdb_obs.Trace
 module Rng = Secdb_util.Rng
 module Xbytes = Secdb_util.Xbytes
 module Pool = Secdb_util.Pool
-module Etable = Secdb_query.Encrypted_table
-module Schema = Secdb_db.Schema
 module Shard = Secdb_db.Shard
 module Ast = Secdb_sql.Ast
 module Parser = Secdb_sql.Parser
@@ -49,11 +47,6 @@ let op_names =
     "ping";
     "stats";
     "sql";
-    "put_cell";
-    "get_cell";
-    "insert_row";
-    "decrypt_column";
-    "index_lookup";
     "repl_pull";
     "repl_root";
   ]
@@ -145,32 +138,6 @@ let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
     | Wire.Sql stmt -> (
         match Secdb_sql.Engine.exec db stmt with
         | Ok o -> Ok (Wire.Outcome o)
-        | Error e -> Error (Wire.App, e))
-    | Wire.Put_cell { table; row; col; value } -> (
-        match Secdb.Encdb.update db ~table ~row ~col value with
-        | Ok () -> Ok Wire.Updated
-        | Error e -> Error (Wire.App, e))
-    | Wire.Get_cell { table; row; col } -> (
-        let tbl = Secdb.Encdb.table db table in
-        let col_id = Schema.col_index (Etable.schema tbl) col in
-        match Etable.get tbl ~row ~col:col_id with
-        | Ok v -> Ok (Wire.Cell_value v)
-        | Error e -> Error (Wire.App, e))
-    | Wire.Insert_row { table; values } -> Ok (Wire.Row_id (Secdb.Encdb.insert db ~table values))
-    | Wire.Decrypt_column { table; col } ->
-        let tbl = Secdb.Encdb.table db table in
-        let col_id = Schema.col_index (Etable.schema tbl) col in
-        let cells = Etable.decrypt_column tbl ~col:col_id in
-        Ok
-          (Wire.Column
-             (Array.to_list cells
-             |> List.map (function
-                  | None -> Wire.Tombstone
-                  | Some (Ok v) -> Wire.Cell v
-                  | Some (Error e) -> Wire.Cell_error e)))
-    | Wire.Index_lookup { table; col; value } -> (
-        match Secdb.Encdb.select_eq db ~table ~col value with
-        | Ok rows -> Ok (Wire.Rows (List.map (fun (r, vs) -> (r, Array.to_list vs)) rows))
         | Error e -> Error (Wire.App, e))
     (* replication requests need the serving layer's role and shard map;
        the single-db reference dispatch has neither *)
@@ -402,20 +369,14 @@ let log_changes t changes =
 
 let is_replica t = match t.role with Replica _ -> true | Standalone | Primary _ -> false
 
-let read_only_reject = Error (Wire.App, "read-only replica: mutations go to the primary")
-
 (* Route one request.  Ping and Stats touch no table — answered inline.
    SQL parses once: the statement names its tables, the tables name one
    shard.  In order: a replica rejects mutations, a JOIN spanning shards
    is refused, a SELECT is answered from the shard's published snapshot
    (lock-free), and everything the snapshot declines — mutations,
    EXPLAIN, and SELECTs on a table {!Snapshot.of_db} left out after an
-   integrity failure — rides the shard's executor.  The remaining request
-   forms carry their table explicitly.  On a replica every mutating form
-   is rejected before it reaches a shard. *)
+   integrity failure — rides the shard's executor. *)
 let exec_routed t (req : Wire.req) =
-  let shard_of table = Shard.get t.shards (Shard.key_shard t.shards table) in
-  let submit sh req = submit ~on_changes:(log_changes t) sh req in
   match req with
   | Wire.Ping _ | Wire.Stats _ -> dispatch (Shard.get t.shards 0).sdb req
   | Wire.Repl_pull { ack; max } -> (
@@ -455,7 +416,7 @@ let exec_routed t (req : Wire.req) =
           match stmt with
           | stmt when is_replica t && not (match stmt with Ast.Select _ | Ast.Explain _ -> true | _ -> false)
             ->
-              read_only_reject
+              Error (Wire.App, "read-only replica: mutations go to the primary")
           | _ when
               (* every table a statement touches must live on one shard: a
                  JOIN spanning shards has no single executor that owns both
@@ -470,21 +431,14 @@ let exec_routed t (req : Wire.req) =
                   Printf.sprintf "cross-shard JOIN: tables {%s} live on different shards"
                     (String.concat ", " (Ast.stmt_tables stmt)) )
           | _ -> (
-              let sh = shard_of (Ast.stmt_table stmt) in
+              let sh = Shard.get t.shards (Shard.key_shard t.shards (Ast.stmt_table stmt)) in
               match Engine.exec_snapshot (Atomic.get sh.snap) stmt with
               | Some r ->
                   Metrics.incr t.m.m_snap_hits;
                   (match r with Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e))
               | None ->
                   (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
-                  submit sh req)))
-  | (Wire.Put_cell _ | Wire.Insert_row _) when is_replica t -> read_only_reject
-  | Wire.Put_cell { table; _ }
-  | Wire.Get_cell { table; _ }
-  | Wire.Insert_row { table; _ }
-  | Wire.Decrypt_column { table; _ }
-  | Wire.Index_lookup { table; _ } ->
-      submit (shard_of table) req
+                  submit ~on_changes:(log_changes t) sh req)))
 
 (* The replica's single write path: apply one pulled (already verified)
    op on the shard executor it routes to, exactly as the primary's own
@@ -570,10 +524,10 @@ let handle_request t session_mac (frame : Wire.frame) =
         Reply (id, Error (Wire.Auth, "request MAC mismatch"))
       end
       else begin
-        match Wire.decode_req body with
-        | Error e ->
+        match Wire.decode_request body with
+        | Error _ as e ->
             Metrics.incr t.m.m_rpc_errors;
-            Reply (id, Error (Wire.Bad_payload, e))
+            Reply (id, e)
         | Ok req ->
             let op = Wire.op_name req in
             (match List.assoc_opt op t.m.m_rpc with Some c -> Metrics.incr c | None -> ());

@@ -14,11 +14,14 @@
     {!Secdb.Encdb.t} and one executor domain, and a request routes to the
     shard of the table it names.  Requests on different shards run in
     true parallel; one shard's requests stay serialised, which is what
-    keeps pipelined results byte-identical to the in-process API.  Point
-    SELECTs are additionally served lock-free from each shard's published
-    read snapshot ({!Secdb_sql.Snapshot}), so they never block behind a
-    writer — a connection still always reads its own writes, because the
-    snapshot is republished before a mutation's response is sent.
+    keeps pipelined results byte-identical to the in-process API.  Every
+    SELECT, JOINs included, is served lock-free from its shard's
+    published read snapshot ({!Secdb_sql.Snapshot}), so it never blocks
+    behind a writer; only a table the snapshot left out after an
+    integrity failure falls through to the executor.  A connection still
+    always reads its own writes, because the snapshot is republished
+    before a mutation's response is sent.  SQL is the only data-plane
+    request.
 
     The server is configured with the {e derived} session-auth credential
     ({!Wire.auth_key_of_master}), never the master key itself.

@@ -148,11 +148,6 @@ type req =
   | Ping of string
   | Stats of [ `Text | `Json ]
   | Sql of string
-  | Put_cell of { table : string; row : int; col : string; value : Value.t }
-  | Get_cell of { table : string; row : int; col : string }
-  | Insert_row of { table : string; values : Value.t list }
-  | Decrypt_column of { table : string; col : string }
-  | Index_lookup of { table : string; col : string; value : Value.t }
   | Repl_pull of { ack : int; max : int }
       (** replica → primary: "I hold a durable prefix of [ack] records;
           ship me up to [max] more, sealed" *)
@@ -164,11 +159,6 @@ let op_name = function
   | Ping _ -> "ping"
   | Stats _ -> "stats"
   | Sql _ -> "sql"
-  | Put_cell _ -> "put_cell"
-  | Get_cell _ -> "get_cell"
-  | Insert_row _ -> "insert_row"
-  | Decrypt_column _ -> "decrypt_column"
-  | Index_lookup _ -> "index_lookup"
   | Repl_pull _ -> "repl_pull"
   | Repl_root -> "repl_root"
 
@@ -184,31 +174,6 @@ let encode_req r =
   | Sql stmt ->
       put_u8 b 0x02;
       put_str b stmt
-  | Put_cell { table; row; col; value } ->
-      put_u8 b 0x03;
-      put_str b table;
-      put_u32 b row;
-      put_str b col;
-      put_value b value
-  | Get_cell { table; row; col } ->
-      put_u8 b 0x04;
-      put_str b table;
-      put_u32 b row;
-      put_str b col
-  | Insert_row { table; values } ->
-      put_u8 b 0x05;
-      put_str b table;
-      put_u16 b (List.length values);
-      List.iter (put_value b) values
-  | Decrypt_column { table; col } ->
-      put_u8 b 0x06;
-      put_str b table;
-      put_str b col
-  | Index_lookup { table; col; value } ->
-      put_u8 b 0x07;
-      put_str b table;
-      put_str b col;
-      put_value b value
   | Repl_pull { ack; max } ->
       put_u8 b 0x08;
       put_u32 b ack;
@@ -216,67 +181,44 @@ let encode_req r =
   | Repl_root -> put_u8 b 0x09);
   contents b
 
-let decode_req s =
-  decoding
-    (fun c ->
-      let r =
+(* raised past [decoding], so an op byte naming no operation stays
+   distinguishable from a malformed payload *)
+exception Unknown_op_byte of int
+
+let get_req c =
+  let r =
+    match get_u8 c with
+    | 0x00 -> Ping (get_str c)
+    | 0x01 -> (
         match get_u8 c with
-        | 0x00 -> Ping (get_str c)
-        | 0x01 -> (
-            match get_u8 c with
-            | 0 -> Stats `Text
-            | 1 -> Stats `Json
-            | n -> fail "unknown stats format %d" n)
-        | 0x02 -> Sql (get_str c)
-        | 0x03 ->
-            let table = get_str c in
-            let row = get_u32 c in
-            let col = get_str c in
-            let value = get_value c in
-            Put_cell { table; row; col; value }
-        | 0x04 ->
-            let table = get_str c in
-            let row = get_u32 c in
-            let col = get_str c in
-            Get_cell { table; row; col }
-        | 0x05 ->
-            let table = get_str c in
-            let n = get_u16 c in
-            let values = List.init n (fun _ -> get_value c) in
-            Insert_row { table; values }
-        | 0x06 ->
-            let table = get_str c in
-            let col = get_str c in
-            Decrypt_column { table; col }
-        | 0x07 ->
-            let table = get_str c in
-            let col = get_str c in
-            let value = get_value c in
-            Index_lookup { table; col; value }
-        | 0x08 ->
-            let ack = get_u32 c in
-            let max = get_u32 c in
-            Repl_pull { ack; max }
-        | 0x09 -> Repl_root
-        | op -> fail "unknown op 0x%02x" op
-      in
-      finished c;
-      r)
-    s
+        | 0 -> Stats `Text
+        | 1 -> Stats `Json
+        | n -> fail "unknown stats format %d" n)
+    | 0x02 -> Sql (get_str c)
+    | 0x08 ->
+        let ack = get_u32 c in
+        let max = get_u32 c in
+        Repl_pull { ack; max }
+    | 0x09 -> Repl_root
+    | op -> raise (Unknown_op_byte op)
+  in
+  finished c;
+  r
+
+let decode_request s =
+  match decoding get_req s with
+  | Ok r -> Ok r
+  | Error e -> Error (Bad_payload, e)
+  | exception Unknown_op_byte op -> Error (Unknown_op, Printf.sprintf "unknown op 0x%02x" op)
+
+let decode_req s = Result.map_error snd (decode_request s)
 
 (* --- responses ------------------------------------------------------------- *)
-
-type cell = Tombstone | Cell of Value.t | Cell_error of string
 
 type resp =
   | Pong of string
   | Stats_dump of string
   | Outcome of Secdb_sql.Engine.outcome
-  | Updated
-  | Cell_value of Value.t
-  | Row_id of int
-  | Column of cell list
-  | Rows of (int * Value.t list) list
   | Repl_records of { durable : int; records : (int * string) list }
       (** sealed oplog records, each with its sequence number, plus the
           primary's durable count so the replica can see its lag *)
@@ -310,35 +252,6 @@ let put_resp b r =
       | Secdb_sql.Engine.Plan p ->
           put_u8 b 3;
           put_str b p)
-  | Updated -> put_u8 b 0x03
-  | Cell_value v ->
-      put_u8 b 0x04;
-      put_value b v
-  | Row_id r ->
-      put_u8 b 0x05;
-      put_u32 b r
-  | Column cells ->
-      put_u8 b 0x06;
-      put_u32 b (List.length cells);
-      List.iter
-        (function
-          | Tombstone -> put_u8 b 0
-          | Cell v ->
-              put_u8 b 1;
-              put_value b v
-          | Cell_error e ->
-              put_u8 b 2;
-              put_str b e)
-        cells
-  | Rows rows ->
-      put_u8 b 0x07;
-      put_u32 b (List.length rows);
-      List.iter
-        (fun (row, values) ->
-          put_u32 b row;
-          put_u16 b (List.length values);
-          List.iter (put_value b) values)
-        rows
   | Repl_records { durable; records } ->
       put_u8 b 0x08;
       put_u32 b durable;
@@ -382,25 +295,6 @@ let decode_resp s =
               | 2 -> Secdb_sql.Engine.Created
               | 3 -> Secdb_sql.Engine.Plan (get_str c)
               | k -> fail "unknown outcome kind %d" k)
-        | 0x03 -> Updated
-        | 0x04 -> Cell_value (get_value c)
-        | 0x05 -> Row_id (get_u32 c)
-        | 0x06 ->
-            let n = get_u32 c in
-            Column
-              (List.init n (fun _ ->
-                   match get_u8 c with
-                   | 0 -> Tombstone
-                   | 1 -> Cell (get_value c)
-                   | 2 -> Cell_error (get_str c)
-                   | k -> fail "unknown cell kind %d" k))
-        | 0x07 ->
-            let n = get_u32 c in
-            Rows
-              (List.init n (fun _ ->
-                   let row = get_u32 c in
-                   let nv = get_u16 c in
-                   (row, List.init nv (fun _ -> get_value c))))
         | 0x08 ->
             let durable = get_u32 c in
             let n = get_u32 c in

@@ -36,6 +36,8 @@ type err_code =
   | Frame  (** malformed or unexpected frame *)
   | Too_large  (** frame length exceeds the receiver's [max_frame] *)
   | Unknown_op
+      (** the request body's first byte names no operation — including
+          the retired 0x03–0x07; the connection stays open *)
   | Bad_payload  (** request decoded to no valid operation payload *)
   | App  (** the database reported an error (integrity failure, bad SQL) *)
   | Server_error  (** unexpected exception inside the server *)
@@ -50,12 +52,7 @@ val err_code_of_int : int -> err_code option
 type req =
   | Ping of string  (** echo *)
   | Stats of [ `Text | `Json ]  (** server-side metric registry dump *)
-  | Sql of string  (** one SQL statement *)
-  | Put_cell of { table : string; row : int; col : string; value : Secdb_db.Value.t }
-  | Get_cell of { table : string; row : int; col : string }
-  | Insert_row of { table : string; values : Secdb_db.Value.t list }
-  | Decrypt_column of { table : string; col : string }
-  | Index_lookup of { table : string; col : string; value : Secdb_db.Value.t }
+  | Sql of string  (** one SQL statement: the only data-plane request *)
   | Repl_pull of { ack : int; max : int }
       (** replica → primary: "my durable prefix holds [ack] records; ship
           up to [max] more, sealed" — the ack doubles as the resume point,
@@ -67,20 +64,10 @@ type req =
 val op_name : req -> string
 (** Stable lowercase name, used as the metric label. *)
 
-type cell =
-  | Tombstone
-  | Cell of Secdb_db.Value.t
-  | Cell_error of string  (** integrity failure message for that cell *)
-
 type resp =
   | Pong of string
   | Stats_dump of string
   | Outcome of Secdb_sql.Engine.outcome
-  | Updated
-  | Cell_value of Secdb_db.Value.t
-  | Row_id of int
-  | Column of cell list
-  | Rows of (int * Secdb_db.Value.t list) list
   | Repl_records of { durable : int; records : (int * string) list }
       (** sealed oplog records (sequence number, raw bytes) in order,
           plus the primary's durable count so a replica can see its lag *)
@@ -89,6 +76,12 @@ type resp =
 
 val encode_req : req -> string
 val decode_req : string -> (req, string) result
+
+val decode_request : string -> (req, err_code * string) result
+(** {!decode_req} with the error classified as the server replies it:
+    [Unknown_op] when the first byte names no operation, [Bad_payload]
+    for any other malformed body. *)
+
 val encode_resp : resp -> string
 val decode_resp : string -> (resp, string) result
 

@@ -53,10 +53,10 @@ val update : t -> row:int -> col:int -> Secdb_db.Value.t -> unit
 (** Re-encrypts the cell in place (fresh nonce under the fixed scheme). *)
 
 val delete_row : t -> row:int -> unit
-(** Tombstone a row.  Because every cell's protection is bound to its
-    (t, r, c) address, rows can never be compacted or renumbered without
-    re-encrypting everything below them — deletion therefore marks the row
-    dead and later reads fail.  Idempotent. *)
+(** Leave a tombstone in a row.  Because every cell's protection is bound
+    to its (t, r, c) address, rows can never be compacted or renumbered
+    without re-encrypting everything below them — deletion therefore
+    marks the row dead and later reads fail.  Idempotent. *)
 
 val is_live : t -> row:int -> bool
 

@@ -17,26 +17,13 @@ let c_hash_probe = 0.1
 type inputs = {
   pager_hit_rate : float;  (** fraction of pager lookups served from cache, 0..1 *)
   pbt_hit_rate : float;  (** fraction of paged-B⁺-tree node reads served from cache *)
-  probe_feedback : float;
-      (** observed exact-probe vs bucket-scan latency ratio from the
-          [sql.plan_latency] histograms, clamped to [0.5, 2.0]; multiplies
-          the exact probe's node costs.  1.0 = neutral / no data. *)
 }
 
-let static_inputs = { pager_hit_rate = 1.0; pbt_hit_rate = 1.0; probe_feedback = 1.0 }
+let static_inputs = { pager_hit_rate = 1.0; pbt_hit_rate = 1.0 }
 
 let counter_rate hits misses =
   let h = Metrics.value (Metrics.counter hits) and m = Metrics.value (Metrics.counter misses) in
   if h + m = 0 then 1.0 else float_of_int h /. float_of_int (h + m)
-
-let clamp lo hi v = Float.max lo (Float.min hi v)
-
-(* mean observed seconds per query of one plan kind, when enough samples
-   accumulated to mean anything *)
-let plan_mean kind =
-  let v = Metrics.hist_view (Metrics.histogram ~labels:[ ("plan", kind) ] "sql.plan_latency") in
-  if v.Metrics.count >= 16 then Some (v.Metrics.sum_seconds /. float_of_int v.Metrics.count)
-  else None
 
 let live () =
   if not (Obs.on ()) then static_inputs
@@ -44,10 +31,6 @@ let live () =
     {
       pager_hit_rate = counter_rate "pager.cache_hits" "pager.cache_misses";
       pbt_hit_rate = counter_rate "pbt.cache_hits" "pbt.node_loads";
-      probe_feedback =
-        (match (plan_mean "index", plan_mean "bucket") with
-        | Some i, Some b when b > 0. -> clamp 0.5 2.0 (i /. b)
-        | _ -> 1.0);
     }
 
 (* --- access paths --------------------------------------------------------- *)
@@ -61,7 +44,6 @@ let index_probe inputs ~rows ~ncols ~estimate ~paged =
     c_node
     *. (if paged then 1.0 +. (3.0 *. (1.0 -. inputs.pbt_hit_rate)) +. (2.0 *. (1.0 -. inputs.pager_hit_rate))
         else 1.0)
-    *. inputs.probe_feedback
   in
   (depth rows *. node) +. (estimate *. float_of_int rows *. float_of_int ncols *. c_cell)
 

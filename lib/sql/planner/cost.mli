@@ -1,22 +1,18 @@
 (** Cost model: price a candidate access path in cell-decrypt units.
 
     Inputs come from the live {!Secdb_obs.Metrics} registry when the obs
-    switch is on — pager and paged-B⁺-tree cache hit rates, and the
-    per-plan latency histograms the engine maintains — with static
-    fallbacks (everything cached, no feedback) when it is off, so EXPLAIN
-    output under cram is deterministic. *)
+    switch is on — pager and paged-B⁺-tree cache hit rates — with static
+    fallbacks (everything cached) when it is off, so EXPLAIN output under
+    cram is deterministic.  No input depends on observed latency: an
+    in-memory plan's cost is the same with obs on or off. *)
 
 type inputs = {
   pager_hit_rate : float;  (** fraction of pager lookups served from cache, 0..1 *)
   pbt_hit_rate : float;  (** fraction of paged-B⁺-tree node reads served from cache *)
-  probe_feedback : float;
-      (** observed exact-probe vs bucket-scan mean-latency ratio
-          ([sql.plan_latency{plan=index}] / [{plan=bucket}]), clamped to
-          [0.5, 2.0]; 1.0 when either histogram has under 16 samples. *)
 }
 
 val static_inputs : inputs
-(** All caches hot, no feedback — the obs-off fallback. *)
+(** All caches hot — the obs-off fallback. *)
 
 val live : unit -> inputs
 (** Read the registry when {!Secdb_obs.Obs.on}, else {!static_inputs}. *)

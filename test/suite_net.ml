@@ -74,11 +74,6 @@ let sample_reqs =
     Wire.Stats `Text;
     Wire.Stats `Json;
     Wire.Sql "SELECT * FROM t WHERE v = 'x'";
-    Wire.Put_cell { table = "t"; row = 123456; col = "v"; value = Value.Text "x" };
-    Wire.Get_cell { table = ""; row = 0; col = "" };
-    Wire.Insert_row { table = "t"; values = sample_values };
-    Wire.Decrypt_column { table = "t"; col = "v" };
-    Wire.Index_lookup { table = "t"; col = "v"; value = Value.Int (-7L) };
     Wire.Repl_pull { ack = 0; max = 256 };
     Wire.Repl_pull { ack = 123456; max = 1 };
     Wire.Repl_root;
@@ -104,12 +99,11 @@ let test_resp_roundtrip () =
     [
       Wire.Pong "payload";
       Wire.Stats_dump "counter x 1\n";
-      Wire.Updated;
-      Wire.Cell_value (Value.Text "v");
-      Wire.Row_id 41;
-      Wire.Column [ Wire.Tombstone; Wire.Cell (Value.Int 5L); Wire.Cell_error "bad tag" ];
-      Wire.Rows [ (0, sample_values); (7, []) ];
-      Wire.Rows [];
+      Wire.Outcome (Secdb_sql.Engine.Rows { columns = [ "a"; "b" ]; rows = [ sample_values; [] ] });
+      Wire.Outcome (Secdb_sql.Engine.Rows { columns = []; rows = [] });
+      Wire.Outcome (Secdb_sql.Engine.Affected 41);
+      Wire.Outcome Secdb_sql.Engine.Created;
+      Wire.Outcome (Secdb_sql.Engine.Plan "seq scan");
       Wire.Repl_records { durable = 9; records = [ (0, "sealed-0"); (1, String.make 300 'r') ] };
       Wire.Repl_records { durable = 0; records = [] };
       Wire.Root { applied = 42; root = String.make 32 '\x5c' };
@@ -239,20 +233,6 @@ let gen_resp =
                  return E.Created;
                  map (fun p -> E.Plan p) gen_str;
                ]) );
-        (1, return Wire.Updated);
-        (3, map (fun v -> Wire.Cell_value v) gen_value);
-        (3, map (fun r -> Wire.Row_id r) gen_u32);
-        ( 3,
-          map
-            (fun cells -> Wire.Column cells)
-            (small_list
-               (oneof
-                  [
-                    return Wire.Tombstone;
-                    map (fun v -> Wire.Cell v) gen_value;
-                    map (fun e -> Wire.Cell_error e) gen_str;
-                  ])) );
-        (3, map (fun rows -> Wire.Rows rows) (small_list (pair gen_u32 (small_list gen_value))));
         ( 3,
           map2
             (fun durable records -> Wire.Repl_records { durable; records })
@@ -260,6 +240,70 @@ let gen_resp =
             (small_list (pair gen_u32 gen_str)) );
         (3, map2 (fun applied root -> Wire.Root { applied; root }) gen_u32 gen_str);
       ])
+
+(* --- decoder totality ------------------------------------------------------ *)
+
+let gen_req =
+  G.(
+    oneof
+      [
+        map (fun p -> Wire.Ping p) gen_str;
+        oneofl [ Wire.Stats `Text; Wire.Stats `Json; Wire.Repl_root ];
+        map (fun q -> Wire.Sql q) gen_str;
+        map2 (fun ack max -> Wire.Repl_pull { ack; max }) gen_u32 gen_u32;
+      ])
+
+(* A valid encoding with a few random edits: a byte overwritten, the
+   tail cut off, or a byte inserted. *)
+let gen_mutated gen_bytes =
+  G.(
+    map
+      (fun (s, edits) ->
+        List.fold_left
+          (fun s (kind, i, c) ->
+            let n = String.length s in
+            let i = i mod (n + 1) in
+            match kind with
+            | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+            | 1 -> String.sub s 0 i
+            | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
+          s edits)
+      (pair gen_bytes (list_size (int_range 1 4) (triple (int_range 0 2) nat char))))
+
+let decodes_totally f s = match f s with Ok _ | Error _ -> true | exception _ -> false
+
+(* Every decoder of network bytes returns [Ok] or [Error] on any input —
+   random bytes, or a valid request, reply or frame with edits — and
+   never raises. *)
+let prop_decoders_total =
+  Test_seed.qc
+    (QCheck2.Test.make ~count:2000 ~name:"wire decoders are total"
+       G.(
+         oneof
+           [
+             string_size (int_range 0 64);
+             gen_mutated (map Wire.encode_req gen_req);
+             gen_mutated (map Wire.encode_resp gen_resp);
+             gen_mutated (map Wire.frame_to_bytes gen_frame);
+           ])
+       (fun s ->
+         decodes_totally Wire.decode_req s
+         && decodes_totally Wire.decode_request s
+         && decodes_totally Wire.decode_resp s
+         && decodes_totally Wire.frame_of_bytes s))
+
+(* The bytes of the removed cell RPCs (requests and replies 0x03–0x07)
+   decode to nothing, whatever follows them; a request is classified as
+   an unknown op rather than a bad payload. *)
+let prop_retired_bytes_rejected =
+  Test_seed.qc
+    (QCheck2.Test.make ~count:500 ~name:"retired op bytes 0x03-0x07 are errors"
+       G.(pair (int_range 0x03 0x07) (string_size (int_range 0 64)))
+       (fun (op, rest) ->
+         let body = String.make 1 (Char.chr op) ^ rest in
+         Result.is_error (Wire.decode_req body)
+         && Result.is_error (Wire.decode_resp body)
+         && match Wire.decode_request body with Error (Wire.Unknown_op, _) -> true | _ -> false))
 
 (* Everything [write] puts on a fresh regular file (always writable, so
    the select-sliced writers never wait). *)
@@ -314,13 +358,13 @@ let script i =
   let t = Printf.sprintf "t%d" i in
   [
     Wire.Sql (Printf.sprintf "CREATE TABLE %s (id INT CLEAR, v TEXT)" t);
-    Wire.Insert_row { table = t; values = [ Value.Int 0L; Value.Text (t ^ "-zero") ] };
-    Wire.Insert_row { table = t; values = [ Value.Int 1L; Value.Text (t ^ "-one") ] };
-    Wire.Insert_row { table = t; values = [ Value.Int 2L; Value.Text (t ^ "-one") ] };
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (0, '%s-zero')" t t);
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (1, '%s-one')" t t);
+    Wire.Sql (Printf.sprintf "INSERT INTO %s VALUES (2, '%s-one')" t t);
     Wire.Sql (Printf.sprintf "CREATE INDEX ON %s (v)" t);
-    Wire.Index_lookup { table = t; col = "v"; value = Value.Text (t ^ "-one") };
-    Wire.Get_cell { table = t; row = 0; col = "v" };
-    Wire.Decrypt_column { table = t; col = "v" };
+    Wire.Sql (Printf.sprintf "SELECT id, v FROM %s WHERE v = '%s-one'" t t);
+    Wire.Sql (Printf.sprintf "SELECT v FROM %s WHERE id = 0" t);
+    Wire.Sql (Printf.sprintf "SELECT v FROM %s" t);
     (* point lookups — the snapshot fast path on the server — must stay
        byte-identical to the in-process dispatcher, indexed or not *)
     Wire.Sql (Printf.sprintf "SELECT id, v FROM %s WHERE v = '%s-one' ORDER BY id DESC" t t);
@@ -390,12 +434,7 @@ let prop_wire_range_matches_inprocess =
          let stmts =
            [ Wire.Sql "CREATE TABLE r (id INT CLEAR, v TEXT)" ]
            @ List.map
-               (fun n ->
-                 Wire.Insert_row
-                   {
-                     table = "r";
-                     values = [ Value.Int (Int64.of_int n); Value.Text (Printf.sprintf "v%d" n) ];
-                   })
+               (fun n -> Wire.Sql (Printf.sprintf "INSERT INTO r VALUES (%d, 'v%d')" n n))
                vals
            @ [
                Wire.Sql "CREATE RANGE INDEX ON r (id) BUCKETS 4";
@@ -640,6 +679,79 @@ let test_tampered_request () =
   | Ok (Wire.Pong "still here") -> ()
   | Ok _ | Error _ -> Alcotest.fail "connection did not survive the tamper rejection"
 
+(* A session driven by hand, so a request body can be any bytes: returns
+   a function that sends [body] under a valid MAC and reads its reply. *)
+let raw_session fd =
+  let send f =
+    match Wire.write_frame ~timeout:5. fd f with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "write: %s" (Wire.io_error_to_string e)
+  in
+  let recv () =
+    match Wire.read_frame ~timeout:5. fd with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "read: %s" (Wire.io_error_to_string e)
+  in
+  let client_nonce = String.make 16 'r' in
+  send (Wire.Hello { version = Wire.protocol_version; nonce = client_nonce });
+  let server_nonce =
+    match recv () with Wire.Challenge { nonce; _ } -> nonce | _ -> Alcotest.fail "no challenge"
+  in
+  send (Wire.Auth (Wire.handshake_mac ~auth_key ~client_nonce ~server_nonce));
+  (match recv () with Wire.Auth_ok _ -> () | _ -> Alcotest.fail "handshake refused");
+  let session_key = Wire.session_key ~auth_key ~client_nonce ~server_nonce in
+  fun id body ->
+    send (Wire.Request { id; body; mac = Wire.request_mac ~session_key ~id ~body });
+    match recv () with
+    | Wire.Response { id = id'; result } when id' = id -> result
+    | _ -> Alcotest.fail "expected the response to the request"
+
+(* The cell RPCs are gone from the protocol: a correctly MAC'd request in
+   the old cell-update encoding (op 0x03, then table, row, column, value)
+   is answered with a structured unknown-op error and changes nothing,
+   the other retired op bytes likewise, and the connection serves the
+   next request. *)
+let test_retired_op_unknown () =
+  with_server ~config:(Server.config ~auth_key ~shards:1 ()) @@ fun addr ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let sql q =
+    match Client.call c (Wire.Sql q) with
+    | Ok (Wire.Outcome o) -> o
+    | Ok _ -> Alcotest.failf "sql %s: unexpected response form" q
+    | Error e -> Alcotest.failf "sql %s: %s" q (Client.error_to_string e)
+  in
+  ignore (sql "CREATE TABLE t (id INT CLEAR, v TEXT)");
+  ignore (sql "INSERT INTO t VALUES (0, 'a')");
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  Unix.connect fd (Wire.sockaddr_of_addr addr);
+  let request = raw_session fd in
+  let str s =
+    let b = Bytes.create 4 in
+    Secdb_util.Xbytes.set_uint32_be b 0 (String.length s);
+    Bytes.to_string b ^ s
+  in
+  let put_cell = "\x03" ^ str "t" ^ "\x00\x00\x00\x00" ^ str "v" ^ str (Value.encode (Value.Text "z")) in
+  List.iteri
+    (fun i body ->
+      match request (i + 1) body with
+      | Error (Wire.Unknown_op, _) -> ()
+      | Error (code, msg) ->
+          Alcotest.failf "op 0x%02x: wrong error class %s: %s" (Char.code body.[0])
+            (Wire.err_code_to_string code) msg
+      | Ok _ -> Alcotest.failf "op 0x%02x was executed" (Char.code body.[0]))
+    [ put_cell; "\x04"; "\x05"; "\x06"; "\x07" ];
+  (match request 9 (Wire.encode_req (Wire.Ping "still open")) with
+  | Ok body -> (
+      match Wire.decode_resp body with
+      | Ok (Wire.Pong "still open") -> ()
+      | _ -> Alcotest.fail "ping answered with something else")
+  | Error (_, msg) -> Alcotest.failf "ping after unknown ops: %s" msg);
+  match sql "SELECT v FROM t" with
+  | Secdb_sql.Engine.Rows { rows = [ [ Value.Text "a" ] ]; _ } -> ()
+  | _ -> Alcotest.fail "the retired put_cell changed the table"
+
 let test_wrong_credential () =
   with_server @@ fun addr ->
   match
@@ -732,6 +844,8 @@ let suites =
         Alcotest.test_case "truncated frames are structured errors" `Quick test_frame_truncation;
         prop_frame_size;
         prop_reply_writer_bytes;
+        prop_decoders_total;
+        prop_retired_bytes_rejected;
         Alcotest.test_case "session secrets are derived and domain-separated" `Quick
           test_session_secrets;
       ] );
@@ -751,6 +865,8 @@ let suites =
           test_interleaved_single_connection;
         Alcotest.test_case "tampered request -> auth error, connection survives" `Quick
           test_tampered_request;
+        Alcotest.test_case "retired op bytes -> structured unknown-op, connection survives" `Quick
+          test_retired_op_unknown;
         Alcotest.test_case "wrong credential is refused" `Quick test_wrong_credential;
         Alcotest.test_case "oversized frame -> structured too-large" `Quick test_oversized_frame;
         Alcotest.test_case "malformed hello -> structured frame error" `Quick test_malformed_hello;

@@ -64,6 +64,35 @@ let test_tie_break () =
   Alcotest.(check bool) "bucket still a candidate" true (List.mem "bucket" names);
   Alcotest.(check bool) "seq still a candidate" true (List.mem "seq" names)
 
+(* --- cost inputs ------------------------------------------------------------ *)
+
+let test_cost_ignores_latency () =
+  (* plan latency is observability, not a cost input: however skewed the
+     [sql.plan_latency] histograms, an in-memory exact probe is priced as
+     it is with obs off *)
+  let db = Encdb.create ~seed:5L ~master:"latency" ~profile:(Encdb.Fixed Encdb.Eax) () in
+  ignore (exec db "CREATE TABLE t (id INT CLEAR, v INT)");
+  for i = 0 to 49 do
+    ignore (exec db (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i (i mod 10)))
+  done;
+  ignore (exec db "CREATE INDEX ON t (v)");
+  ignore (exec db "CREATE RANGE INDEX ON t (v) BUCKETS 4");
+  let explain () =
+    match exec db "EXPLAIN SELECT * FROM t WHERE v = 3" with
+    | E.Plan p -> p
+    | _ -> Alcotest.fail "EXPLAIN returned no plan"
+  in
+  let static = explain () in
+  Alcotest.(check bool) ("an exact probe: " ^ static) true
+    (String.starts_with ~prefix:"INDEX SCAN" static);
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let plan_latency kind = Metrics.histogram ~labels:[ ("plan", kind) ] "sql.plan_latency" in
+  for _ = 1 to 32 do
+    Metrics.observe (plan_latency "index") 10.0;
+    Metrics.observe (plan_latency "bucket") 1e-6
+  done;
+  Alcotest.(check string) "EXPLAIN after skewed latency samples" static (explain ())
+
 (* --- cardinality gauges ---------------------------------------------------- *)
 
 let test_row_gauges () =
@@ -317,6 +346,8 @@ let suites =
       [
         Alcotest.test_case "deterministic tie-breaking" `Quick test_tie_break;
         Alcotest.test_case "db.rows gauge tracks live rows" `Quick test_row_gauges;
+        Alcotest.test_case "observed plan latency does not move the cost" `Quick
+          test_cost_ignores_latency;
         Test_seed.qc prop_oracle;
       ] );
   ]

@@ -300,8 +300,8 @@ let test_replica_rejects_writes () =
       Wire.Sql "UPDATE t SET v = 'z' WHERE id = 1";
       Wire.Sql "DELETE FROM t WHERE id = 1";
       Wire.Sql "CREATE TABLE u (id INT)";
-      Wire.Put_cell { table = "t"; row = 0; col = "v"; value = Value.Text "z" };
-      Wire.Insert_row { table = "t"; values = [ Value.Int 9L; Value.Text "q" ] };
+      Wire.Sql "CREATE INDEX ON t (v)";
+      Wire.Sql "CREATE RANGE INDEX ON t (id) BUCKETS 2";
     ];
   (* reads still work *)
   (match Client.call rc (Wire.Sql "SELECT v FROM t WHERE id = 1") with

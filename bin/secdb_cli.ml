@@ -292,10 +292,10 @@ let sql_cmd =
 
 (* A fixed workload that touches every instrumented layer — pager cache,
    blob store, AEAD (including a rejected tamper), the domain pool, batch
-   table encryption, an index walk, the paged B+-tree, the shard map and
-   the oplog — sized so every counter value is a pure function of the
-   code, never of timing.  The cram suite pins the full text dump, which
-   is what makes the counters a regression gate and not just ops sugar. *)
+   table encryption, an index walk, the paged B+-tree and the oplog —
+   sized so every counter value is a pure function of the code, never of
+   timing.  The cram suite pins the full text dump, which is what makes
+   the counters a regression gate and not just ops sugar. *)
 let stats_workload () =
   let module Metrics = Secdb_obs.Metrics in
   let module Pool = Secdb_util.Pool in
@@ -429,13 +429,6 @@ let stats_workload () =
    sql "CREATE INDEX ON kv (v)";
    sql "DELETE FROM kv WHERE id = 8";
    sql "SELECT * FROM kv WHERE v BETWEEN 20 AND 50");
-  (* shard map: five routed keys and one all-shards broadcast *)
-  (let module Shard = Secdb_db.Shard in
-   let sh = Shard.create ~shards:4 (fun i -> i) in
-   List.iter
-     (fun k -> Shard.with_key sh k (fun _ -> ()))
-     [ "alpha"; "beta"; "gamma"; "delta"; "epsilon" ];
-   ignore (Shard.with_all sh (fun _ i -> i)));
   (* oplog: three authenticated appends, a full replay, and a replay of a
      tampered log that must fail *)
   with_temp ".oplog" (fun path ->

@@ -1,21 +1,3 @@
-module Metrics = Secdb_obs.Metrics
-
-let m_routed = Metrics.counter "shard.routed"
-let m_broadcasts = Metrics.counter "shard.broadcasts"
-let g_count = Metrics.gauge "shard.count"
-
-type 'a t = { slots : 'a array; locks : Mutex.t array }
-
-let create ~shards f =
-  if shards < 1 then invalid_arg "Shard.create: need at least one shard";
-  let t =
-    { slots = Array.init shards f; locks = Array.init shards (fun _ -> Mutex.create ()) }
-  in
-  Metrics.set g_count shards;
-  t
-
-let count t = Array.length t.slots
-
 (* FNV-1a, 64-bit: platform-stable byte hashing so key placement can be
    recomputed anywhere (clients, offline tools, tests). *)
 let fnv1a key =
@@ -29,39 +11,3 @@ let fnv1a key =
 let key_index ~shards key =
   if shards < 1 then invalid_arg "Shard.key_index: need at least one shard";
   Int64.to_int (Int64.unsigned_rem (fnv1a key) (Int64.of_int shards))
-
-let key_shard t key =
-  Metrics.incr m_routed;
-  key_index ~shards:(count t) key
-
-let check t i =
-  if i < 0 || i >= count t then invalid_arg (Printf.sprintf "Shard: slot %d out of range" i)
-
-let get t i =
-  check t i;
-  t.slots.(i)
-
-let with_shard t i f =
-  check t i;
-  Mutex.lock t.locks.(i);
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.locks.(i)) (fun () -> f t.slots.(i))
-
-let with_key t key f = with_shard t (key_shard t key) f
-
-let with_all t f =
-  Metrics.incr m_broadcasts;
-  let n = count t in
-  for i = 0 to n - 1 do
-    Mutex.lock t.locks.(i)
-  done;
-  Fun.protect
-    ~finally:(fun () ->
-      for i = n - 1 downto 0 do
-        Mutex.unlock t.locks.(i)
-      done)
-    (fun () -> List.init n (fun i -> f i t.slots.(i)))
-
-let iter t f =
-  for i = 0 to count t - 1 do
-    ignore (with_shard t i (fun v -> f i v))
-  done

@@ -1,52 +1,12 @@
-(** A shard map: [n] slots, each owning one value and one lock.
+(** Table placement for the sharded serving layer.
 
-    The serving layer partitions the database by table name — every table
-    (with its indexes, pager and histograms) lives in exactly one shard,
-    and requests touching different shards run in true parallel instead
-    of convoying behind a single global mutex.  The map itself is
-    immutable after {!create}; all mutability lives in the values and is
-    guarded by the per-slot locks.
-
-    Lock order: {!with_all} takes slot locks in ascending index order and
-    is the only function that ever holds two — any other code holding a
-    shard lock must not acquire another.  That total order makes deadlock
-    impossible by construction. *)
-
-type 'a t
-
-val create : shards:int -> (int -> 'a) -> 'a t
-(** [create ~shards f] builds slot [i] from [f i], sequentially.
-    @raise Invalid_argument if [shards < 1]. *)
-
-val count : 'a t -> int
+    The server partitions the database by table name: every table (with
+    its indexes, pager and histograms) lives in exactly one shard, owned
+    by that shard's executor.  Placement is a pure function of the name,
+    so the server, offline tools (log replay, restore) and clients all
+    route a table to the same shard without sharing any state. *)
 
 val key_index : shards:int -> string -> int
 (** Pure placement: FNV-1a over the key bytes, mod [shards] — independent
-    of process, session and platform, and of any live {!t}, so offline
-    tools (log replay, restore) route exactly like a serving shard map.
+    of process, session and platform.
     @raise Invalid_argument if [shards < 1]. *)
-
-val key_shard : 'a t -> string -> int
-(** [key_index ~shards:(count t)] — stable slot index for a key, so
-    clients and tools can compute placement offline.  Counts one
-    [shard.routed]. *)
-
-val get : 'a t -> int -> 'a
-(** Slot value without its lock — for immutable or lock-free reads.
-    @raise Invalid_argument if the index is out of range. *)
-
-val with_shard : 'a t -> int -> ('a -> 'b) -> 'b
-(** Run under slot [i]'s lock. *)
-
-val with_key : 'a t -> string -> ('a -> 'b) -> 'b
-(** {!with_shard} at {!key_shard}; counts one [shard.routed]. *)
-
-val with_all : 'a t -> (int -> 'a -> 'b) -> 'b list
-(** Run over every slot holding {e all} locks, acquired in ascending
-    order; results in slot order.  Counts one [shard.broadcasts].  For
-    cross-shard operations that need a consistent global view (stats,
-    schema listing). *)
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-(** Visit every slot under its own lock, one at a time (no global
-    consistency). *)

@@ -51,7 +51,8 @@ let op_names =
     "repl_root";
   ]
 
-let make_metrics () =
+let make_metrics ~shards =
+  Metrics.set (Metrics.gauge "shard.count") shards;
   {
     m_bytes_in = Metrics.counter "net.bytes_in";
     m_bytes_out = Metrics.counter "net.bytes_out";
@@ -152,13 +153,13 @@ let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
 
 (* --- shards -------------------------------------------------------------------
 
-   Every table lives in exactly one shard ({!Shard.key_shard} over its
+   Every table lives in exactly one shard ({!Shard.key_index} over its
    name), and each shard owns a full {!Secdb.Encdb.t} — tables, indexes,
-   pager — plus one executor domain.  Connection readers route a request
-   to its shard and hand the dispatch to that executor, so requests on
-   different shards run in true parallel while a shard's own requests
-   stay serialised (which is what keeps pipelined results byte-identical
-   to the in-process API).
+   pager — plus one executor domain, the database's sole owner: a
+   request reaches a shard's state only as a job on that shard's queue.
+   So requests on different shards run in true parallel while a shard's
+   own requests stay serialised, with no lock (which is what keeps
+   pipelined results byte-identical to the in-process API).
 
    After every mutation the executor folds the resulting
    {!Secdb.Encdb.change}s into an immutable {!Snapshot.t} and publishes
@@ -186,33 +187,25 @@ let make_shard db_of i =
     jobs = Bqueue.create 64;
   }
 
-let executor shards i =
-  let sh = Shard.get shards i in
+(* Jobs run one at a time, in queue order, and take no lock: nothing but
+   this loop ever touches the shard's database. *)
+let executor sh =
   let rec loop () =
     match Bqueue.pop sh.jobs with
     | None -> ()
     | Some job ->
-        Shard.with_shard shards i (fun _ -> job ());
+        job ();
         loop ()
   in
   loop ()
 
-(* Run a job on the shard's executor and wait for the result.  The
-   change stream is offered to [on_changes] (the primary's oplog append)
-   and the snapshot republished before the completion signal — so by the
-   time a mutation is acked it is logged, folded and visible. *)
-let submit_job ?(on_changes = fun (_ : Secdb.Encdb.change list) -> ()) sh f =
+(* Run [f] on the shard's executor and wait for its result. *)
+let run_job sh f =
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let result = ref None in
   let job () =
     let r = f () in
-    (match List.rev !(sh.pending) with
-    | [] -> ()
-    | changes ->
-        sh.pending := [];
-        on_changes changes;
-        Atomic.set sh.snap (List.fold_left Snapshot.apply (Atomic.get sh.snap) changes));
     Mutex.lock mu;
     result := Some r;
     Condition.signal cond;
@@ -228,10 +221,17 @@ let submit_job ?(on_changes = fun (_ : Secdb.Encdb.change list) -> ()) sh f =
   end
   else Error `Draining
 
-let submit ?on_changes sh req =
-  match submit_job ?on_changes sh (fun () -> dispatch sh.sdb req) with
-  | Ok r -> r
-  | Error `Draining -> Error (Wire.Server_error, "server draining")
+(* The changes the running job made, oldest first.  Executor only. *)
+let take_changes sh =
+  let changes = List.rev !(sh.pending) in
+  sh.pending := [];
+  changes
+
+(* Fold [changes] into the shard's snapshot.  Executor only, before the
+   job signals completion — so an acked mutation is already visible. *)
+let publish sh = function
+  | [] -> ()
+  | changes -> Atomic.set sh.snap (List.fold_left Snapshot.apply (Atomic.get sh.snap) changes)
 
 (* --- server ------------------------------------------------------------------- *)
 
@@ -251,8 +251,9 @@ type t = {
   role : role;
   repl_mu : Mutex.t;  (* serialises oplog appends and reads across shards *)
   applied : int Atomic.t;  (* ops reflected in the served state *)
-  mutable repl_error : string option;  (* first oplog failure, under repl_mu *)
-  shards : shard_state Shard.t;
+  repl_error : string option Atomic.t;  (* first oplog failure, set under repl_mu *)
+  shards : shard_state array;
+  barrier_mu : Mutex.t;  (* one barrier's pushes at a time: see [attest] *)
   doms : unit Domain.t array;
   listen_fd : Unix.file_descr;
   address : Wire.addr;
@@ -299,8 +300,8 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
       | Wire.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Wire.Tcp (host, port)
       | _ -> address
     in
-    let shards = Shard.create ~shards:cfg.shards (make_shard db) in
-    let doms = Array.init cfg.shards (fun i -> Domain.spawn (fun () -> executor shards i)) in
+    let shards = Array.init cfg.shards (make_shard db) in
+    let doms = Array.map (fun sh -> Domain.spawn (fun () -> executor sh)) shards in
     Ok
       {
         cfg;
@@ -312,8 +313,9 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
             | Standalone -> 0
             | Primary w -> Secdb.Oplog.count w
             | Replica { initial_applied } -> initial_applied);
-        repl_error = None;
+        repl_error = Atomic.make None;
         shards;
+        barrier_mu = Mutex.create ();
         doms;
         listen_fd = fd;
         address;
@@ -329,7 +331,7 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
         active = 0;
         rng = Rng.create ~seed ();
         rng_mu = Mutex.create ();
-        m = make_metrics ();
+        m = make_metrics ~shards:cfg.shards;
       }
   with Unix.Unix_error (e, fn, arg) ->
     Error
@@ -347,27 +349,107 @@ let fresh_nonce t =
 
 (* The primary's oplog hook, run inside the executor job that performed
    the mutation — per-shard apply order and log order therefore agree,
-   which is what makes a replica's replay byte-identical.  After a first
-   append failure the log stops growing and pulls report the error;
-   serving continues (the local state is still good), replication does
-   not silently diverge. *)
+   which is what makes a replica's replay byte-identical.  It fails
+   closed: after a first append failure the log stops growing, and the
+   mutation that hit it and every later one are answered with the error
+   instead of an ack; pulls and attestations report it too. *)
 let log_changes t changes =
-  match t.role with
-  | Primary w ->
+  match (t.role, changes) with
+  | (Standalone | Replica _), _ | Primary _, [] -> Ok ()
+  | Primary w, changes ->
       Mutex.lock t.repl_mu;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.repl_mu)
         (fun () ->
-          match t.repl_error with
-          | Some _ -> ()
+          match Atomic.get t.repl_error with
+          | Some e -> Error e
           | None -> (
               try
                 List.iter (fun ch -> ignore (Secdb.Oplog.append w (Repl.op_of_change ch))) changes;
-                Atomic.set t.applied (Secdb.Oplog.count w)
-              with e -> t.repl_error <- Some (Printexc.to_string e)))
-  | Standalone | Replica _ -> ()
+                Atomic.set t.applied (Secdb.Oplog.count w);
+                Ok ()
+              with e ->
+                let e = Printexc.to_string e in
+                Atomic.set t.repl_error (Some e);
+                Error e))
 
+let oplog_failed e = Error (Wire.Server_error, "oplog failed: " ^ e)
+let draining = Error (Wire.Server_error, "server draining")
 let is_replica t = match t.role with Replica _ -> true | Standalone | Primary _ -> false
+let is_read (stmt : Ast.stmt) = match stmt with Ast.Select _ | Ast.Explain _ -> true | _ -> false
+let shard_index t table = Shard.key_index ~shards:(Array.length t.shards) table
+let shard_of t table = t.shards.(shard_index t table)
+
+(* One statement on its shard's executor: run it, log its changes, then
+   publish them.  Once the log has failed a mutation is refused before it
+   runs, so the served state moves no further ahead of the log. *)
+let exec_job t sh stmt req =
+  match
+    run_job sh (fun () ->
+        match Atomic.get t.repl_error with
+        | Some e when not (is_read stmt) -> oplog_failed e
+        | _ -> (
+            let r = dispatch sh.sdb req in
+            let changes = take_changes sh in
+            let logged = log_changes t changes in
+            publish sh changes;
+            match logged with Ok () -> r | Error e -> oplog_failed e))
+  with
+  | Ok r -> r
+  | Error `Draining -> draining
+
+(* What [Repl_root] reports; only ever called with every executor parked. *)
+let read_root t =
+  match Atomic.get t.repl_error with
+  | Some e -> oplog_failed e
+  | None ->
+      let digests = Array.to_list (Array.map (fun sh -> Secdb.Encdb.digest sh.sdb) t.shards) in
+      Ok (Wire.Root { applied = Atomic.get t.applied; root = Repl.combined_root digests })
+
+(* Attestation as a barrier job.  One job goes onto every shard's queue;
+   each executor parks when it reaches it, and the last to arrive — with
+   every executor parked, so no job is mid-mutation — reads the applied
+   count and every digest, then releases them all.  The root and the
+   count therefore describe one state.
+
+   Push order: the pushes of one barrier happen under [barrier_mu].
+   Without it two concurrent barriers could enter two queues in opposite
+   orders, each parking one executor that waits for the other forever.
+   Under it every queue holds the barriers in one order, so a barrier
+   whose pushes are done always completes: whatever is ahead of it in a
+   queue is a plain job or an earlier barrier, itself fully pushed.  A
+   push refused because the server is draining releases the executors
+   already parked. *)
+let attest t =
+  let n = Array.length t.shards in
+  let mu = Mutex.create () and cond = Condition.create () in
+  let arrived = ref 0 and result = ref None in
+  (* under [mu] *)
+  let finish r =
+    result := Some r;
+    Condition.broadcast cond
+  in
+  let await () =
+    while !result = None do
+      Condition.wait cond mu
+    done
+  in
+  let park () =
+    Mutex.lock mu;
+    incr arrived;
+    if !arrived = n then
+      finish (try read_root t with e -> Error (Wire.Server_error, Printexc.to_string e))
+    else await ();
+    Mutex.unlock mu
+  in
+  Mutex.lock t.barrier_mu;
+  let pushed = Array.for_all (fun sh -> Bqueue.push sh.jobs park) t.shards in
+  Mutex.unlock t.barrier_mu;
+  Mutex.lock mu;
+  if pushed then await () else finish draining;
+  let r = Option.get !result in
+  Mutex.unlock mu;
+  r
 
 (* Route one request.  Ping and Stats touch no table — answered inline.
    SQL parses once: the statement names its tables, the tables name one
@@ -378,7 +460,7 @@ let is_replica t = match t.role with Replica _ -> true | Standalone | Primary _ 
    integrity failure — rides the shard's executor. *)
 let exec_routed t (req : Wire.req) =
   match req with
-  | Wire.Ping _ | Wire.Stats _ -> dispatch (Shard.get t.shards 0).sdb req
+  | Wire.Ping _ | Wire.Stats _ -> dispatch t.shards.(0).sdb req
   | Wire.Repl_pull { ack; max } -> (
       match t.role with
       | Primary w ->
@@ -386,8 +468,8 @@ let exec_routed t (req : Wire.req) =
           Fun.protect
             ~finally:(fun () -> Mutex.unlock t.repl_mu)
             (fun () ->
-              match t.repl_error with
-              | Some e -> Error (Wire.Server_error, "oplog failed: " ^ e)
+              match Atomic.get t.repl_error with
+              | Some e -> oplog_failed e
               | None ->
                   if ack < 0 || max < 0 then Error (Wire.Bad_payload, "negative pull bounds")
                   else
@@ -399,57 +481,49 @@ let exec_routed t (req : Wire.req) =
                            records = Secdb.Oplog.read_sealed w ~from:ack ~max;
                          }))
       | Standalone | Replica _ -> Error (Wire.App, "not a primary"))
-  | Wire.Repl_root ->
-      (* all shard locks held: no executor is mid-mutation, so the
-         digests and the applied count describe one consistent state *)
-      let applied = ref 0 in
-      let digests =
-        Shard.with_all t.shards (fun i sh ->
-            if i = 0 then applied := Atomic.get t.applied;
-            Secdb.Encdb.digest sh.sdb)
-      in
-      Ok (Wire.Root { applied = !applied; root = Repl.combined_root digests })
+  | Wire.Repl_root -> attest t
   | Wire.Sql stmt_src -> (
       match Parser.parse stmt_src with
       | Error e -> Error (Wire.App, e)
       | Ok stmt -> (
           match stmt with
-          | stmt when is_replica t && not (match stmt with Ast.Select _ | Ast.Explain _ -> true | _ -> false)
-            ->
+          | stmt when is_replica t && not (is_read stmt) ->
               Error (Wire.App, "read-only replica: mutations go to the primary")
           | _ when
               (* every table a statement touches must live on one shard: a
                  JOIN spanning shards has no single executor that owns both
                  tables, so refuse it structurally instead of answering
                  from half the data *)
-              List.length
-                (List.sort_uniq compare
-                   (List.map (Shard.key_shard t.shards) (Ast.stmt_tables stmt)))
+              List.length (List.sort_uniq compare (List.map (shard_index t) (Ast.stmt_tables stmt)))
               > 1 ->
               Error
                 ( Wire.App,
                   Printf.sprintf "cross-shard JOIN: tables {%s} live on different shards"
                     (String.concat ", " (Ast.stmt_tables stmt)) )
           | _ -> (
-              let sh = Shard.get t.shards (Shard.key_shard t.shards (Ast.stmt_table stmt)) in
+              let sh = shard_of t (Ast.stmt_table stmt) in
               match Engine.exec_snapshot (Atomic.get sh.snap) stmt with
               | Some r ->
                   Metrics.incr t.m.m_snap_hits;
                   (match r with Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e))
               | None ->
                   (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
-                  submit ~on_changes:(log_changes t) sh req)))
+                  exec_job t sh stmt req)))
 
 (* The replica's single write path: apply one pulled (already verified)
    op on the shard executor it routes to, exactly as the primary's own
-   mutations ride theirs. *)
+   mutations ride theirs.  The count moves inside the job, so a barrier
+   never sees the op without it. *)
 let apply_op t op =
-  let sh = Shard.get t.shards (Shard.key_shard t.shards (Secdb.Oplog.op_table op)) in
-  match submit_job sh (fun () -> Secdb.Oplog.apply sh.sdb op) with
-  | Ok (Ok ()) ->
-      Atomic.incr t.applied;
-      Ok ()
-  | Ok (Error _ as e) -> e
+  let sh = shard_of t (Secdb.Oplog.op_table op) in
+  match
+    run_job sh (fun () ->
+        let r = Secdb.Oplog.apply sh.sdb op in
+        publish sh (take_changes sh);
+        if Result.is_ok r then Atomic.incr t.applied;
+        r)
+  with
+  | Ok r -> r
   | Error `Draining -> Error "server draining"
 
 let observe_in t frame = Metrics.add t.m.m_bytes_in (Wire.frame_size frame)
@@ -628,6 +702,29 @@ let wait_readable ~stop fd =
   in
   go ()
 
+(* The one shutdown tail, for a drained {!run} and a never-started {!stop}:
+   stop listening (no new connections), wait until no connection is left
+   (each notices the stop flag within one select slice and finishes its
+   current request first), then — no submitter left — close the shard
+   queues and join the executors. *)
+let shut_down t =
+  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  (match t.unix_path with
+  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
+  | None -> ());
+  Mutex.lock t.conn_mu;
+  while t.active > 0 do
+    Condition.wait t.conns_done t.conn_mu
+  done;
+  Mutex.unlock t.conn_mu;
+  Array.iter (fun sh -> Bqueue.close sh.jobs) t.shards;
+  Array.iter Domain.join t.doms;
+  Mutex.lock t.lifecycle_mu;
+  t.running <- false;
+  t.drained <- true;
+  Condition.broadcast t.drained_cond;
+  Mutex.unlock t.lifecycle_mu
+
 let run t =
   Mutex.lock t.lifecycle_mu;
   if t.running || t.drained then begin
@@ -654,25 +751,7 @@ let run t =
     end
   in
   accept_loop ();
-  (* drain: no new connections; every worker notices the stop flag within
-     one select slice and finishes its current request first *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.unix_path with
-  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-  | None -> ());
-  Mutex.lock t.conn_mu;
-  while t.active > 0 do
-    Condition.wait t.conns_done t.conn_mu
-  done;
-  Mutex.unlock t.conn_mu;
-  (* no submitter left: close the shard queues and park the executors *)
-  Shard.iter t.shards (fun _ sh -> Bqueue.close sh.jobs);
-  Array.iter Domain.join t.doms;
-  Mutex.lock t.lifecycle_mu;
-  t.running <- false;
-  t.drained <- true;
-  Condition.broadcast t.drained_cond;
-  Mutex.unlock t.lifecycle_mu
+  shut_down t
 
 let start t =
   let th = Thread.create (fun () -> run t) () in
@@ -687,18 +766,7 @@ let stop t =
   Mutex.lock t.lifecycle_mu;
   let started = t.running || t.accept_thread <> None || t.drained in
   Mutex.unlock t.lifecycle_mu;
-  if not started then begin
-    (* never ran: park the executors and release the socket *)
-    Shard.iter t.shards (fun _ sh -> Bqueue.close sh.jobs);
-    Array.iter Domain.join t.doms;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.unix_path with
-    | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-    | None -> ());
-    Mutex.lock t.lifecycle_mu;
-    t.drained <- true;
-    Mutex.unlock t.lifecycle_mu
-  end
+  if not started then shut_down t
   else begin
     Mutex.lock t.lifecycle_mu;
     while not t.drained do

@@ -10,11 +10,13 @@
     reuses for the life of the connection.
 
     The data plane is sharded: every table lives in exactly one shard
-    ({!Secdb_db.Shard.key_shard} over its name), each shard owns a full
+    ({!Secdb_db.Shard.key_index} over its name), each shard owns a full
     {!Secdb.Encdb.t} and one executor domain, and a request routes to the
-    shard of the table it names.  Requests on different shards run in
-    true parallel; one shard's requests stay serialised, which is what
-    keeps pipelined results byte-identical to the in-process API.  Every
+    shard of the table it names.  The executor is the database's sole
+    owner — a request reaches it only as a job on that shard's queue — so
+    requests on different shards run in true parallel while one shard's
+    requests stay serialised without a lock, which is what keeps
+    pipelined results byte-identical to the in-process API.  Every
     SELECT, JOINs included, is served lock-free from its shard's
     published read snapshot ({!Secdb_sql.Snapshot}), so it never blocks
     behind a writer; only a table the snapshot left out after an
@@ -58,8 +60,11 @@ type t
     inside the executor job that performed it — before the response is
     signalled, so an acked write is a logged write, and per-shard apply
     order equals log order.  It answers [Repl_pull] with sealed records
-    (only fsynced ones ever ship).  If an append fails the log stops
-    growing and pulls report the failure; local serving continues.
+    (only fsynced ones ever ship).  It fails closed: once an append
+    fails, the log stops growing, and the mutation that hit the failure
+    and every later one are answered with a structured [oplog failed]
+    error instead of an ack (later ones are not applied); pulls and
+    [Repl_root] report the failure, and reads are still served.
 
     A [Replica] rejects every mutating request with a structured
     [read-only] error — its only write path is {!apply_op}, fed by the
@@ -68,8 +73,9 @@ type t
     after a boot-time replay of the local log copy.
 
     Every role answers [Repl_root] with the Merkle root over its
-    per-shard digests, taken under all shard locks so the root and the
-    count describe one consistent state. *)
+    per-shard digests and the op count it reflects, read by a barrier
+    job that parks every shard's executor, so the root and the count
+    describe one consistent state. *)
 type role =
   | Standalone
   | Primary of Secdb.Oplog.writer

@@ -4,7 +4,7 @@
     shard's executor folds every {!Secdb.Encdb.change} into a fresh
     snapshot after each mutation, and reader threads answer every SELECT
     (JOINs included) from the last published snapshot through
-    {!Engine.exec_snapshot}, without ever taking the shard lock —
+    {!Engine.exec_snapshot}, without ever waiting for the executor —
     a reader can observe a slightly stale (but internally consistent)
     state, never a torn one.
 

@@ -362,6 +362,157 @@ let test_two_replicas_one_primary () =
       Client.close pc;
       Client.close rc)
 
+(* --- attestation under load -----------------------------------------------
+
+   [Repl_root] is a barrier over every shard's executor, so each
+   [(applied, root)] it returns must describe one state: exactly the
+   first [applied] ops of the log.  One thread mutates a table on every
+   shard while two threads attest in a loop; the run must finish inside
+   a fixed deadline, which is what catches a barrier deadlock. *)
+
+let push a x =
+  let rec go () =
+    let l = Atomic.get a in
+    if not (Atomic.compare_and_set a l (x :: l)) then go ()
+  in
+  go ()
+
+let attest_under_load addr ~mutate =
+  let samples = Atomic.make [] and errors = Atomic.make [] in
+  let mutating = Atomic.make true and started = Atomic.make 0 and finished = Atomic.make 0 in
+  let spawn f =
+    Thread.create
+      (fun () ->
+        (try f () with e -> push errors (Printexc.to_string e));
+        Atomic.incr finished)
+      ()
+  in
+  let attester () =
+    let first = ref true in
+    Fun.protect
+      ~finally:(fun () -> if !first then Atomic.incr started)
+      (fun () ->
+        let c = connect addr in
+        let rec go () =
+          push samples (root_of c);
+          if !first then begin
+            first := false;
+            Atomic.incr started
+          end;
+          if Atomic.get mutating then go ()
+        in
+        go ();
+        Client.close c)
+  in
+  let threads =
+    [
+      spawn attester;
+      spawn attester;
+      (* mutations start once both attesters are in their loop, so roots
+         are taken before, during and after them *)
+      spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.set mutating false)
+            (fun () ->
+              while Atomic.get started < 2 do
+                Thread.delay 0.001
+              done;
+              mutate ()));
+    ]
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Atomic.get finished < 3 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get finished < 3 then
+    Alcotest.failf "attestation under load still running after 30 s (barrier deadlock?)";
+  List.iter Thread.join threads;
+  (match Atomic.get errors with [] -> () | e :: _ -> Alcotest.failf "under load: %s" e);
+  Atomic.get samples
+
+(* every sampled root equals the root of [restore ~to_op:applied] over [path] *)
+let check_samples ~path ~shards samples =
+  let counts = List.sort_uniq compare (List.map fst samples) in
+  if List.length counts < 2 then Alcotest.fail "no root was taken while mutations ran";
+  List.iter
+    (fun n ->
+      match Repl.restore ~path ~aead ~shards ~mkdb:(fun shard -> mkdb ~shard ()) ~to_op:n () with
+      | Error e -> Alcotest.failf "restore to op %d: %s" n e
+      | Ok (dbs, _) ->
+          let expect = Xbytes.to_hex (Repl.root_of_dbs dbs) in
+          List.iter
+            (fun (applied, root) ->
+              if applied = n then
+                Alcotest.(check string)
+                  (Printf.sprintf "root at op %d" n)
+                  expect (Xbytes.to_hex root))
+            samples)
+    counts
+
+let test_root_consistent_under_load ~shards () =
+  with_dir @@ fun dir ->
+  let config = Server.config ~auth_key ~shards () in
+  let serve ~role name =
+    match
+      Server.create ~seed:7L ~role ~config
+        ~db:(fun shard -> mkdb ~shard ())
+        (Wire.Unix_sock (Filename.concat dir name))
+    with
+    | Ok s ->
+        Server.start s;
+        s
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  (* one table on every shard *)
+  let tables =
+    List.init shards (fun s ->
+        let rec find i =
+          let name = Printf.sprintf "t%d" i in
+          if Secdb_db.Shard.key_index ~shards name = s then name else find (i + 1)
+        in
+        find 0)
+  in
+  let rows = 48 / shards in
+  let path = Filename.concat dir "primary.log" in
+  (* primary: SQL over the wire, logged with fsync on every append *)
+  let w = Oplog.create ~sync:Oplog.Always ~path ~aead ~nonce:(nonce ()) () in
+  let primary = serve ~role:(Server.Primary w) "p.sock" in
+  let samples =
+    attest_under_load (Server.addr primary) ~mutate:(fun () ->
+        let c = connect (Server.addr primary) in
+        List.iter (fun t -> ignore (sql c (Printf.sprintf "CREATE TABLE %s (id INT, v TEXT)" t))) tables;
+        for i = 1 to rows do
+          List.iter
+            (fun t ->
+              ignore (sql c (Printf.sprintf "INSERT INTO %s VALUES (%d, 'v%d')" t i i));
+              if i mod 4 = 0 then
+                ignore (sql c (Printf.sprintf "UPDATE %s SET v = 'u' WHERE id = %d" t (i - 1))))
+            tables
+        done;
+        Client.close c)
+  in
+  Server.stop primary;
+  Oplog.close w;
+  check_samples ~path ~shards samples;
+  (* replica: the same log, fed op by op through its only write path *)
+  let ops =
+    match Oplog.replay ~path ~aead () with
+    | Ok ops -> List.map snd ops
+    | Error e -> Alcotest.failf "replay: %s" e
+  in
+  let replica = serve ~role:(Server.Replica { initial_applied = 0 }) "r.sock" in
+  let samples =
+    attest_under_load (Server.addr replica) ~mutate:(fun () ->
+        List.iter
+          (fun op ->
+            match Server.apply_op replica op with
+            | Ok () -> Thread.yield ()
+            | Error e -> failwith ("apply_op: " ^ e))
+          ops)
+  in
+  Server.stop replica;
+  check_samples ~path ~shards samples
+
 (* --- crash matrices -------------------------------------------------------
 
    The fault VFS makes every pwrite of a replicated workload a crash
@@ -493,6 +644,68 @@ let test_crash_matrix_replica () =
     end;
     incr k
   done
+
+(* Fail closed: once the primary's oplog hits an I/O error, the mutation
+   that hit it and every later one are answered with a structured error,
+   so after a crash the log holds exactly the mutations that were acked. *)
+let test_oplog_failure_fails_closed () =
+  List.iter
+    (fun (op, err) ->
+      with_dir @@ fun dir ->
+      let ctl = Fault.make ~seed:31 () in
+      let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
+      let sock = Wire.Unix_sock (Filename.concat dir "p.sock") in
+      let srv =
+        match
+          Server.create ~seed:7L ~role:(Server.Primary w) ~config:(Server.config ~auth_key ~shards ())
+            ~db:(fun shard -> mkdb ~shard ())
+            sock
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "primary: %s" e
+      in
+      Server.start srv;
+      let acked = ref 0 and refused = ref 0 in
+      let failed_closed = function
+        | Error (Client.Remote (Wire.Server_error, msg)) -> contains ~affix:"oplog failed" msg
+        | _ -> false
+      in
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () ->
+          let c = connect sock in
+          let mutate stmt =
+            match Client.call c (Wire.Sql stmt) with
+            | Ok _ -> incr acked
+            | r when failed_closed r -> incr refused
+            | Error e -> Alcotest.failf "%s: %s" stmt (Client.error_to_string e)
+          in
+          mutate "CREATE TABLE t (id INT, v TEXT)";
+          mutate "CREATE TABLE u (id INT, v TEXT)";
+          for i = 1 to 10 do
+            if i = 5 then Fault.fail_op ctl ~op ~after:1 ~err;
+            mutate (Printf.sprintf "INSERT INTO %s VALUES (%d, 'v')" (if i mod 2 = 0 then "t" else "u") i)
+          done;
+          Alcotest.(check int) "acks stop at the failure" 6 !acked;
+          Alcotest.(check int) "the failed mutation and every later one are refused" 6 !refused;
+          (match Client.call c (Wire.Sql "SELECT v FROM t WHERE id = 2") with
+          | Ok (Wire.Outcome _) -> ()
+          | _ -> Alcotest.fail "a primary with a failed log stopped serving reads");
+          Alcotest.(check bool) "attestation reports the failure" true
+            (failed_closed (Client.call c Wire.Repl_root));
+          Alcotest.(check bool) "pulls report the failure" true
+            (failed_closed (Client.call c (Wire.Repl_pull { ack = 0; max = 10 })));
+          Client.close c);
+      (* power loss: only what was fsynced survives *)
+      Fault.crash_now ctl;
+      let path = Filename.concat dir "p.log" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Fault.dump ctl ~path:"mem:p.log"));
+      match Oplog.recover ~path ~aead () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok (records, _) ->
+          Alcotest.(check int) "acked mutations = durable records" !acked (List.length records))
+    [ (`Fsync, `ENOSPC); (`Fsync, `EIO); (`Pwrite, `ENOSPC); (`Pwrite, `EIO) ]
 
 (* --- properties ----------------------------------------------------------- *)
 
@@ -647,12 +860,19 @@ let suites =
         Alcotest.test_case "replica catches up, roots agree" `Quick test_replica_catches_up;
         Alcotest.test_case "replica is read-only" `Quick test_replica_rejects_writes;
         Alcotest.test_case "two replicas, one primary" `Quick test_two_replicas_one_primary;
+        Alcotest.test_case "root consistent under load, 1 shard" `Quick
+          (test_root_consistent_under_load ~shards:1);
+        Alcotest.test_case "root consistent under load, 2 shards" `Quick
+          (test_root_consistent_under_load ~shards:2);
+        Alcotest.test_case "root consistent under load, 4 shards" `Quick
+          (test_root_consistent_under_load ~shards:4);
       ] );
     ( "repl:crash",
       [
         Alcotest.test_case "primary crash matrix" `Quick test_crash_matrix_primary;
         Alcotest.test_case "replica crash matrix" `Quick test_crash_matrix_replica;
         Alcotest.test_case "restore past the prefix fails" `Quick test_restore_beyond_prefix_fails;
+        Alcotest.test_case "oplog failure fails closed" `Quick test_oplog_failure_fails_closed;
       ] );
     ("repl:props", [ qc prop_replica_prefix; qc prop_restore_equiv ]);
     ( "repl:client",

@@ -102,4 +102,44 @@ kill -TERM "$SRV4"
 wait "$SRV4" || { echo "serve smoke: 4-shard server exited non-zero on SIGTERM" >&2; exit 1; }
 grep -q 'drained, bye' "$DIR/serve4.log" || { echo "serve smoke: 4-shard no drain message" >&2; exit 1; }
 
+# Group commit: boot a primary with an oplog (fsync policy Always).  One
+# INSERT per client call is one fsync per appended record; a pipelined
+# burst on one connection lets the executor commit queued INSERTs
+# together, so the burst takes fewer fsyncs than records.  Either check
+# failing means the durable write path changed shape.
+SOCKG="$DIR/gc.sock"
+"$SECDB" serve -a "unix:$SOCKG" --seed 42 --oplog "$DIR/gc.log" >"$DIR/servegc.log" 2>&1 &
+SRVG=$!
+trap 'kill "$SRVG" 2>/dev/null || true; rm -rf "$DIR"' EXIT
+
+for _ in $(seq 1 100); do [ -S "$SOCKG" ] && break; sleep 0.1; done
+[ -S "$SOCKG" ] || { echo "serve smoke: primary never bound $SOCKG" >&2; exit 1; }
+
+counter() {
+  "$SECDB" client -a "unix:$SOCKG" --stats | awk -v n="$1" '$1 == "counter" && $2 == n { print $3 }'
+}
+"$SECDB" client -a "unix:$SOCKG" -e "CREATE TABLE g (id INT CLEAR, v TEXT)" >/dev/null
+for i in 1 2 3 4 5; do
+  "$SECDB" client -a "unix:$SOCKG" -e "INSERT INTO g VALUES ($i, 'one')" >/dev/null
+done
+appends=$(counter oplog.appends)
+syncs=$(counter oplog.syncs)
+[ "$appends" = 6 ] && [ "$syncs" = "$appends" ] || {
+  echo "serve smoke: serial INSERTs took $syncs fsyncs for $appends appends, want 6 and 6" >&2; exit 1
+}
+
+BURST=()
+for i in $(seq 100 1099); do BURST+=(-e "INSERT INTO g VALUES ($i, 'burst')"); done
+acked=$("$SECDB" client -a "unix:$SOCKG" "${BURST[@]}" | grep -c 'row(s) affected')
+[ "$acked" = 1000 ] || { echo "serve smoke: pipelined burst acked $acked of 1000" >&2; exit 1; }
+burst_appends=$(( $(counter oplog.appends) - appends ))
+burst_syncs=$(( $(counter oplog.syncs) - syncs ))
+[ "$burst_appends" = 1000 ] && [ "$burst_syncs" -lt "$burst_appends" ] || {
+  echo "serve smoke: pipelined burst took $burst_syncs fsyncs for $burst_appends appends" >&2; exit 1
+}
+
+kill -TERM "$SRVG"
+wait "$SRVG" || { echo "serve smoke: primary exited non-zero on SIGTERM" >&2; exit 1; }
+grep -q 'drained, bye' "$DIR/servegc.log" || { echo "serve smoke: primary no drain message" >&2; exit 1; }
+
 echo "serve smoke: OK"

@@ -258,8 +258,7 @@ let sync w =
   if not w.open_ then invalid_arg "Oplog.sync: writer is closed";
   if w.unsynced > 0 then do_sync w
 
-let seal w op =
-  let seq = w.seq in
+let seal w ~seq op =
   let n = w.nonce () in
   let ad = Xbytes.int_to_be_string ~width:8 seq in
   let ct, tag = Aead.encrypt w.aead ~nonce:n ~ad (encode_op op) in
@@ -268,31 +267,40 @@ let seal w op =
   let crc = Crc32.string (len4 ^ record) in
   len4 ^ record ^ Xbytes.int_to_be_string ~width:4 crc
 
-let write_record w full =
+(* Write [records] (sealed for sequence numbers [w.seq], [w.seq + 1], ...)
+   with one pwrite, then apply the sync policy once. *)
+let write_records w records =
   let start = w.pos in
-  (try Vfs.really_pwrite w.vf ~pos:start full
+  (try Vfs.really_pwrite w.vf ~pos:start (String.concat "" records)
    with e ->
      (* an injected EIO/ENOSPC can leave a torn record; put the log back
         at the last record boundary so the failure is not also corruption *)
      (try w.vf.Vfs.truncate start with Vfs.Io_error _ | Vfs.Crashed _ -> ());
      raise e);
-  ensure_cap w (w.seq + 1);
-  w.offs.(w.seq) <- start;
-  w.pos <- start + String.length full;
-  w.seq <- w.seq + 1;
-  w.unsynced <- w.unsynced + 1;
+  ensure_cap w (w.seq + List.length records);
+  List.iter
+    (fun r ->
+      w.offs.(w.seq) <- w.pos;
+      w.pos <- w.pos + String.length r;
+      w.seq <- w.seq + 1;
+      w.unsynced <- w.unsynced + 1)
+    records;
   match w.policy with
   | Always -> do_sync w
   | Every_n n -> if w.unsynced >= n then do_sync w
   | Never -> ()
 
-let append w op =
-  if not w.open_ then invalid_arg "Oplog.append: writer is closed";
-  Trace.with_span ~hist:h_append "oplog.append" @@ fun () ->
-  Metrics.incr m_appends;
-  let seq = w.seq in
-  write_record w (seal w op);
-  seq
+let append_batch w ops =
+  if not w.open_ then invalid_arg "Oplog.append_batch: writer is closed";
+  let first = w.seq in
+  if ops <> [] then begin
+    Trace.with_span ~hist:h_append "oplog.append" @@ fun () ->
+    Metrics.add m_appends (List.length ops);
+    write_records w (List.mapi (fun i op -> seal w ~seq:(first + i) op) ops)
+  end;
+  first
+
+let append w op = append_batch w [ op ]
 
 let append_sealed w sealed =
   if not w.open_ then invalid_arg "Oplog.append_sealed: writer is closed";
@@ -300,7 +308,7 @@ let append_sealed w sealed =
   | Error _ as e -> e
   | Ok op ->
       Metrics.incr m_appends;
-      write_record w sealed;
+      write_records w [ sealed ];
       Ok op
 
 let count w = w.seq

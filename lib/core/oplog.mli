@@ -38,8 +38,13 @@ val pp_op : Format.formatter -> op -> unit
 (** {2 Writing} *)
 
 type sync_policy =
-  | Always  (** fsync after every append: an acked append survives any crash *)
-  | Every_n of int  (** fsync every [n] appends: bounded loss window *)
+  | Always
+      (** fsync at the end of every append call: an acked append survives
+          any crash.  A batch ({!append_batch}) is one call, so its records
+          share one fsync and none of them is durable before all are. *)
+  | Every_n of int
+      (** fsync after the append call that brings the records not yet
+          fsynced to [n] or more: bounded loss window *)
   | Never  (** fsync only at {!sync}/{!close}: fastest, crash loses the tail *)
 
 type writer
@@ -67,12 +72,20 @@ val create :
     were sealed with, so a resuming caller needs a fresh stream (e.g. a
     random per-boot prefix plus a counter), not a counter restarted at 0. *)
 
+val append_batch : writer -> op list -> int
+(** Seal the operations at consecutive sequence numbers, write them with
+    one write, then apply the writer's {!sync_policy} once; returns the
+    first one's sequence number (the batch takes [first .. first + n - 1]).
+    The records are byte-for-byte what as many {!append}s would write.  On
+    an I/O error ({!Secdb_storage.Vfs.Io_error}) in the write the log is
+    truncated back to the batch's start before the exception propagates,
+    so a failed append never leaves a torn record behind a live writer; an
+    error in the fsync leaves the batch written but not {!durable}.  The
+    empty batch writes and syncs nothing. *)
+
 val append : writer -> op -> int
-(** Seal and append one operation; returns its sequence number.  Honors
-    the writer's {!sync_policy}.  On an I/O error
-    ({!Secdb_storage.Vfs.Io_error}) the log is truncated back to the last
-    record boundary before the exception propagates, so a failed append
-    never leaves a torn record behind a live writer. *)
+(** [append w op] is [append_batch w [op]]: seal and append one operation,
+    returning its sequence number. *)
 
 val append_sealed : writer -> string -> (op, string) result
 (** Append one already-sealed record, verbatim.  The record is verified

@@ -186,7 +186,7 @@ let await t wanted =
 let call t req =
   match post t req with Error _ as e -> e | Ok id -> await t id
 
-let pipeline ?(window = 32) t reqs =
+let pipeline ?(window = 32) ?(corrupt = false) t reqs =
   (* Posting an unbounded burst before reading anything deadlocks once the
      responses overflow the receive buffer: the server's writer blocks on
      us, its reader stops draining our posts, and both sides sit in their
@@ -204,7 +204,7 @@ let pipeline ?(window = 32) t reqs =
   List.iter
     (fun req ->
       if Queue.length inflight >= window then finish_oldest ();
-      Queue.push (post t req) inflight)
+      Queue.push (send_request t ~corrupt req) inflight)
     reqs;
   while not (Queue.is_empty inflight) do
     finish_oldest ()

@@ -50,14 +50,16 @@ val await : t -> int -> (Wire.resp, error) result
 val call : t -> Wire.req -> (Wire.resp, error) result
 (** [post] then [await]. *)
 
-val pipeline : ?window:int -> t -> Wire.req list -> (Wire.resp, error) result list
+val pipeline :
+  ?window:int -> ?corrupt:bool -> t -> Wire.req list -> (Wire.resp, error) result list
 (** Post the requests back-to-back with at most [window] (default 32)
     outstanding, awaiting the oldest response before posting past the
     window; one result per request, in request order.  The window keeps
     long bursts from deadlocking against the kernel socket buffers: an
     unbounded burst stops reading responses while it posts, the server's
     writer fills the peer buffer and blocks, its reader stops draining
-    the burst, and both ends sit in their timeouts. *)
+    the burst, and both ends sit in their timeouts.  [corrupt] (default
+    false) posts every request as {!post_corrupted} does. *)
 
 val ping : t -> (float, error) result
 (** Round-trip a [Ping] and return the elapsed seconds. *)

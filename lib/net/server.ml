@@ -117,6 +117,18 @@ module Bqueue = struct
     Mutex.unlock t.mu;
     item
 
+  (* Everything queued, oldest first; [] only once closed and empty. *)
+  let pop_all t =
+    Mutex.lock t.mu;
+    while Queue.is_empty t.q && not t.closed do
+      Condition.wait t.not_empty t.mu
+    done;
+    let items = List.of_seq (Queue.to_seq t.q) in
+    Queue.clear t.q;
+    Condition.broadcast t.not_full;
+    Mutex.unlock t.mu;
+    items
+
   let close t =
     Mutex.lock t.mu;
     t.closed <- true;
@@ -127,29 +139,63 @@ end
 
 (* --- dispatch ---------------------------------------------------------------- *)
 
-let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
-  try
-    match req with
-    | Wire.Ping payload -> Ok (Wire.Pong payload)
-    | Wire.Stats fmt ->
-        let snap = Metrics.snapshot () in
-        Ok
-          (Wire.Stats_dump
-             (match fmt with `Text -> Metrics.to_text snap | `Json -> Metrics.to_json snap))
-    | Wire.Sql stmt -> (
-        match Secdb_sql.Engine.exec db stmt with
-        | Ok o -> Ok (Wire.Outcome o)
-        | Error e -> Error (Wire.App, e))
-    (* replication requests need the serving layer's role and shard map;
-       the single-db reference dispatch has neither *)
-    | Wire.Repl_pull _ -> Error (Wire.App, "replication pull needs a serving primary")
-    | Wire.Repl_root -> Error (Wire.App, "attestation needs a serving node")
-  with
+(* The structured error for every exception a statement can raise. *)
+let guarded f =
+  try f () with
   | Not_found -> Error (Wire.App, "no such table, column or index")
   | Invalid_argument e -> Error (Wire.App, e)
   | Failure e -> Error (Wire.App, e)
   | Secdb.Keyring.Session_closed -> Error (Wire.App, "session closed")
   | e -> Error (Wire.Server_error, Printexc.to_string e)
+
+let outcome = function Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e)
+
+let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
+  guarded @@ fun () ->
+  match req with
+  | Wire.Ping payload -> Ok (Wire.Pong payload)
+  | Wire.Stats fmt ->
+      let snap = Metrics.snapshot () in
+      Ok
+        (Wire.Stats_dump
+           (match fmt with `Text -> Metrics.to_text snap | `Json -> Metrics.to_json snap))
+  | Wire.Sql stmt -> outcome (Engine.exec db stmt)
+  (* replication requests need the serving layer's role and shard map;
+     the single-db reference dispatch has neither *)
+  | Wire.Repl_pull _ -> Error (Wire.App, "replication pull needs a serving primary")
+  | Wire.Repl_root -> Error (Wire.App, "attestation needs a serving node")
+
+(* [dispatch] of an already parsed statement: the executor never parses. *)
+let exec_stmt db stmt = guarded (fun () -> outcome (Engine.exec_stmt db stmt))
+
+(* --- deferred replies ----------------------------------------------------------
+
+   A mutation does not hold up its connection: the reader queues it on its
+   shard and reads on, and a reply slot goes to the connection's writer in
+   its place.  The shard's executor fills the slot once the batch holding
+   the mutation is durable; the writer sends the slots in arrival order.
+   All slots of one connection share its one mutex and condition. *)
+
+type conn = {
+  cmu : Mutex.t;
+  filled : Condition.t;
+  mutable last : slot option;  (* the newest queued mutation; reader only *)
+}
+
+and slot = {
+  owner : conn;
+  shard : int;
+  opened : float;  (* {!Trace.open_span} when the request arrived *)
+  mutable reply : (Wire.resp, Wire.err_code * string) result option;  (* under owner.cmu *)
+}
+
+let await_slot s =
+  Mutex.lock s.owner.cmu;
+  while s.reply = None do
+    Condition.wait s.owner.filled s.owner.cmu
+  done;
+  Mutex.unlock s.owner.cmu;
+  Option.get s.reply
 
 (* --- shards -------------------------------------------------------------------
 
@@ -161,19 +207,23 @@ let dispatch db (req : Wire.req) : (Wire.resp, Wire.err_code * string) result =
    own requests stay serialised, with no lock (which is what keeps
    pipelined results byte-identical to the in-process API).
 
-   After every mutation the executor folds the resulting
+   After every batch of mutations the executor folds the resulting
    {!Secdb.Encdb.change}s into an immutable {!Snapshot.t} and publishes
    it with one atomic store — the read path: every SELECT, JOINs
    included, is answered by reader threads straight from the last
    published snapshot, never blocking behind a writer.  Publication
-   happens before the response is signalled, so a connection always
-   reads its own writes. *)
+   happens before the replies are filled, so a connection always reads
+   its own writes. *)
+
+type job =
+  | Mutation of Ast.stmt * slot  (* run in a batch: see [executor] *)
+  | Task of (unit -> unit)
 
 type shard_state = {
   sdb : Secdb.Encdb.t;
   pending : Secdb.Encdb.change list ref;  (* filled by the on_change hook *)
   snap : Snapshot.t Atomic.t;
-  jobs : (unit -> unit) Bqueue.t;
+  jobs : job Bqueue.t;
 }
 
 let make_shard db_of i =
@@ -187,18 +237,6 @@ let make_shard db_of i =
     jobs = Bqueue.create 64;
   }
 
-(* Jobs run one at a time, in queue order, and take no lock: nothing but
-   this loop ever touches the shard's database. *)
-let executor sh =
-  let rec loop () =
-    match Bqueue.pop sh.jobs with
-    | None -> ()
-    | Some job ->
-        job ();
-        loop ()
-  in
-  loop ()
-
 (* Run [f] on the shard's executor and wait for its result. *)
 let run_job sh f =
   let mu = Mutex.create () in
@@ -211,7 +249,7 @@ let run_job sh f =
     Condition.signal cond;
     Mutex.unlock mu
   in
-  if Bqueue.push sh.jobs job then begin
+  if Bqueue.push sh.jobs (Task job) then begin
     Mutex.lock mu;
     while !result = None do
       Condition.wait cond mu
@@ -221,14 +259,14 @@ let run_job sh f =
   end
   else Error `Draining
 
-(* The changes the running job made, oldest first.  Executor only. *)
+(* The changes made since the last call, oldest first.  Executor only. *)
 let take_changes sh =
   let changes = List.rev !(sh.pending) in
   sh.pending := [];
   changes
 
 (* Fold [changes] into the shard's snapshot.  Executor only, before the
-   job signals completion — so an acked mutation is already visible. *)
+   replies are filled — so an acked mutation is already visible. *)
 let publish sh = function
   | [] -> ()
   | changes -> Atomic.set sh.snap (List.fold_left Snapshot.apply (Atomic.get sh.snap) changes)
@@ -236,11 +274,11 @@ let publish sh = function
 (* --- server ------------------------------------------------------------------- *)
 
 (* What this node is in a replication topology.  A [Primary] appends
-   every observed mutation to its oplog writer (inside the executor job,
-   before the response is signalled, so an acked write is a logged
-   write).  A [Replica] rejects mutations from clients — its only write
-   path is {!apply_op}, fed by the pull loop — and serves reads from the
-   same snapshot machinery as any other node. *)
+   every observed mutation to its oplog writer (inside the executor,
+   before the reply is filled, so an acked write is a logged write).  A
+   [Replica] rejects mutations from clients — its only write path is
+   {!apply_op}, fed by the pull loop — and serves reads from the same
+   snapshot machinery as any other node. *)
 type role =
   | Standalone
   | Primary of Secdb.Oplog.writer
@@ -254,7 +292,7 @@ type t = {
   repl_error : string option Atomic.t;  (* first oplog failure, set under repl_mu *)
   shards : shard_state array;
   barrier_mu : Mutex.t;  (* one barrier's pushes at a time: see [attest] *)
-  doms : unit Domain.t array;
+  mutable doms : unit Domain.t array;  (* set once by [create] *)
   listen_fd : Unix.file_descr;
   address : Wire.addr;
   unix_path : string option;
@@ -276,6 +314,93 @@ let default_seed () =
   Int64.logxor
     (Int64.of_float (Unix.gettimeofday () *. 1e6))
     (Int64.of_int (Unix.getpid () * 0x9e3779b9))
+
+(* The primary's oplog hook, run by the executor that performed the
+   mutations — per-shard apply order and log order therefore agree, which
+   is what makes a replica's replay byte-identical.  One call logs a
+   whole batch with one {!Secdb.Oplog.append_batch}.  It fails closed:
+   after a first append failure the log stops growing, and the batch that
+   hit it and every later mutation are answered with the error instead of
+   an ack; pulls and attestations report it too. *)
+let log_changes t changes =
+  match (t.role, changes) with
+  | (Standalone | Replica _), _ | Primary _, [] -> Ok ()
+  | Primary w, changes ->
+      Mutex.lock t.repl_mu;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock t.repl_mu)
+        (fun () ->
+          match Atomic.get t.repl_error with
+          | Some e -> Error e
+          | None -> (
+              try
+                ignore (Secdb.Oplog.append_batch w (List.map Repl.op_of_change changes));
+                Atomic.set t.applied (Secdb.Oplog.count w);
+                Ok ()
+              with e ->
+                let e = Printexc.to_string e in
+                Atomic.set t.repl_error (Some e);
+                Error e))
+
+let oplog_failed e = Error (Wire.Server_error, "oplog failed: " ^ e)
+let draining = Error (Wire.Server_error, "server draining")
+
+(* Fill a mutation's reply slot; its latency and error are counted here,
+   where its result is known. *)
+let fill t s r =
+  (match r with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
+  Trace.close_span ~attrs:[ ("op", "sql") ] ?hist:(List.assoc_opt "sql" t.m.h_rpc) "net.dispatch"
+    ~start:s.opened;
+  Mutex.lock s.owner.cmu;
+  s.reply <- Some r;
+  Condition.broadcast s.owner.filled;
+  Mutex.unlock s.owner.cmu
+
+(* Log the batch's changes, publish them, then fill every reply of the
+   batch ([batch] is newest first).  A batch whose log append fails is
+   not published — readers keep the last durable state — and every
+   mutation in it gets the error. *)
+let commit t sh batch =
+  let changes = take_changes sh in
+  let replies =
+    match log_changes t changes with
+    | Ok () ->
+        publish sh changes;
+        List.rev batch
+    | Error e -> List.rev_map (fun (s, _) -> (s, oplog_failed e)) batch
+  in
+  List.iter (fun (s, r) -> fill t s r) replies
+
+(* Group commit.  The executor takes every job queued on its shard at once
+   and runs them in queue order.  Mutations run back to back and leave
+   their replies open; [commit] then logs the whole batch — one fsync
+   under [Always] — publishes it and fills the replies.  Any other job
+   commits the open batch first, so a barrier, a replicated op, an
+   EXPLAIN or a SELECT the snapshot declined never sees a state that is
+   not yet durable.  Once the log has failed a mutation is refused before
+   it runs, so the served state moves no further ahead of the log. *)
+let executor t sh =
+  let run batch = function
+    | Mutation (stmt, s) ->
+        let r =
+          match Atomic.get t.repl_error with
+          | Some e -> oplog_failed e
+          | None -> exec_stmt sh.sdb stmt
+        in
+        (s, r) :: batch
+    | Task f ->
+        commit t sh batch;
+        f ();
+        []
+  in
+  let rec loop () =
+    match Bqueue.pop_all sh.jobs with
+    | [] -> ()
+    | jobs ->
+        commit t sh (List.fold_left run [] jobs);
+        loop ()
+  in
+  loop ()
 
 let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
   let seed = match seed with Some s -> s | None -> default_seed () in
@@ -300,9 +425,7 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
       | Wire.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Wire.Tcp (host, port)
       | _ -> address
     in
-    let shards = Array.init cfg.shards (make_shard db) in
-    let doms = Array.map (fun sh -> Domain.spawn (fun () -> executor sh)) shards in
-    Ok
+    let t =
       {
         cfg;
         role;
@@ -314,9 +437,9 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
             | Primary w -> Secdb.Oplog.count w
             | Replica { initial_applied } -> initial_applied);
         repl_error = Atomic.make None;
-        shards;
+        shards = Array.init cfg.shards (make_shard db);
         barrier_mu = Mutex.create ();
-        doms;
+        doms = [||];
         listen_fd = fd;
         address;
         unix_path = (match address with Wire.Unix_sock p -> Some p | Wire.Tcp _ -> None);
@@ -333,6 +456,9 @@ let create ?seed ?(role = Standalone) ~config:(cfg : config) ~db address =
         rng_mu = Mutex.create ();
         m = make_metrics ~shards:cfg.shards;
       }
+    in
+    t.doms <- Array.map (fun sh -> Domain.spawn (fun () -> executor t sh)) t.shards;
+    Ok t
   with Unix.Unix_error (e, fn, arg) ->
     Error
       (Printf.sprintf "cannot listen on %s: %s (%s %s)" (Wire.addr_to_string address)
@@ -347,56 +473,10 @@ let fresh_nonce t =
   Mutex.unlock t.rng_mu;
   n
 
-(* The primary's oplog hook, run inside the executor job that performed
-   the mutation — per-shard apply order and log order therefore agree,
-   which is what makes a replica's replay byte-identical.  It fails
-   closed: after a first append failure the log stops growing, and the
-   mutation that hit it and every later one are answered with the error
-   instead of an ack; pulls and attestations report it too. *)
-let log_changes t changes =
-  match (t.role, changes) with
-  | (Standalone | Replica _), _ | Primary _, [] -> Ok ()
-  | Primary w, changes ->
-      Mutex.lock t.repl_mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.repl_mu)
-        (fun () ->
-          match Atomic.get t.repl_error with
-          | Some e -> Error e
-          | None -> (
-              try
-                List.iter (fun ch -> ignore (Secdb.Oplog.append w (Repl.op_of_change ch))) changes;
-                Atomic.set t.applied (Secdb.Oplog.count w);
-                Ok ()
-              with e ->
-                let e = Printexc.to_string e in
-                Atomic.set t.repl_error (Some e);
-                Error e))
-
-let oplog_failed e = Error (Wire.Server_error, "oplog failed: " ^ e)
-let draining = Error (Wire.Server_error, "server draining")
 let is_replica t = match t.role with Replica _ -> true | Standalone | Primary _ -> false
 let is_read (stmt : Ast.stmt) = match stmt with Ast.Select _ | Ast.Explain _ -> true | _ -> false
 let shard_index t table = Shard.key_index ~shards:(Array.length t.shards) table
 let shard_of t table = t.shards.(shard_index t table)
-
-(* One statement on its shard's executor: run it, log its changes, then
-   publish them.  Once the log has failed a mutation is refused before it
-   runs, so the served state moves no further ahead of the log. *)
-let exec_job t sh stmt req =
-  match
-    run_job sh (fun () ->
-        match Atomic.get t.repl_error with
-        | Some e when not (is_read stmt) -> oplog_failed e
-        | _ -> (
-            let r = dispatch sh.sdb req in
-            let changes = take_changes sh in
-            let logged = log_changes t changes in
-            publish sh changes;
-            match logged with Ok () -> r | Error e -> oplog_failed e))
-  with
-  | Ok r -> r
-  | Error `Draining -> draining
 
 (* What [Repl_root] reports; only ever called with every executor parked. *)
 let read_root t =
@@ -408,9 +488,9 @@ let read_root t =
 
 (* Attestation as a barrier job.  One job goes onto every shard's queue;
    each executor parks when it reaches it, and the last to arrive — with
-   every executor parked, so no job is mid-mutation — reads the applied
-   count and every digest, then releases them all.  The root and the
-   count therefore describe one state.
+   every executor parked, so no job is mid-mutation and no batch is left
+   open — reads the applied count and every digest, then releases them
+   all.  The root and the count therefore describe one state.
 
    Push order: the pushes of one barrier happen under [barrier_mu].
    Without it two concurrent barriers could enter two queues in opposite
@@ -443,7 +523,7 @@ let attest t =
     Mutex.unlock mu
   in
   Mutex.lock t.barrier_mu;
-  let pushed = Array.for_all (fun sh -> Bqueue.push sh.jobs park) t.shards in
+  let pushed = Array.for_all (fun sh -> Bqueue.push sh.jobs (Task park)) t.shards in
   Mutex.unlock t.barrier_mu;
   Mutex.lock mu;
   if pushed then await () else finish draining;
@@ -451,64 +531,102 @@ let attest t =
   Mutex.unlock mu;
   r
 
-(* Route one request.  Ping and Stats touch no table — answered inline.
-   SQL parses once: the statement names its tables, the tables name one
-   shard.  In order: a replica rejects mutations, a JOIN spanning shards
-   is refused, a SELECT is answered from the shard's published snapshot
-   (lock-free), and everything the snapshot declines — mutations,
-   EXPLAIN, and SELECTs on a table {!Snapshot.of_db} left out after an
-   integrity failure — rides the shard's executor. *)
-let exec_routed t (req : Wire.req) =
+(* --- routing ------------------------------------------------------------------ *)
+
+(* Wait until every mutation the connection has queued is done.  On one
+   shard the newest is enough: a shard's queue is FIFO and a batch fills
+   its replies only after every earlier batch. *)
+let settle conn =
+  match conn.last with
+  | None -> ()
+  | Some s ->
+      ignore (await_slot s);
+      conn.last <- None
+
+type routed =
+  | Now of (Wire.resp, Wire.err_code * string) result
+  | Queued of slot  (** a mutation on its shard's queue; the slot is its reply *)
+
+(* A statement that is not a mutation.  In order: a replica rejects
+   mutations, a JOIN spanning shards is refused, a SELECT is answered from
+   the shard's published snapshot (lock-free), and what the snapshot
+   declines — EXPLAIN, and SELECTs on a table {!Snapshot.of_db} left out
+   after an integrity failure — runs as a job on the shard's executor. *)
+let exec_sql t (stmt : Ast.stmt) =
+  match stmt with
+  | stmt when is_replica t && not (is_read stmt) ->
+      Error (Wire.App, "read-only replica: mutations go to the primary")
+  | _ when
+      (* every table a statement touches must live on one shard: a JOIN
+         spanning shards has no single executor that owns both tables, so
+         refuse it structurally instead of answering from half the data *)
+      List.length (List.sort_uniq compare (List.map (shard_index t) (Ast.stmt_tables stmt))) > 1 ->
+      Error
+        ( Wire.App,
+          Printf.sprintf "cross-shard JOIN: tables {%s} live on different shards"
+            (String.concat ", " (Ast.stmt_tables stmt)) )
+  | _ -> (
+      let sh = shard_of t (Ast.stmt_table stmt) in
+      match Engine.exec_snapshot (Atomic.get sh.snap) stmt with
+      | Some r ->
+          Metrics.incr t.m.m_snap_hits;
+          outcome r
+      | None -> (
+          (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
+          match run_job sh (fun () -> exec_stmt sh.sdb stmt) with
+          | Ok r -> r
+          | Error `Draining -> draining))
+
+(* Route one request.  SQL parses once: the statement names its table, the
+   table names one shard.  A mutation (on a node that takes them) goes
+   onto its shard's queue without waiting and answers later.  Any other
+   request first waits for the connection's queued mutations, and so does
+   a mutation bound for another shard than the connection's last one: a
+   connection's requests take effect in the order it sent them, and a
+   read sees the connection's own writes.  Ping and Stats touch no table
+   and are answered inline. *)
+let exec_routed t conn ~opened (req : Wire.req) =
+  let now f =
+    settle conn;
+    Now (f ())
+  in
   match req with
-  | Wire.Ping _ | Wire.Stats _ -> dispatch t.shards.(0).sdb req
-  | Wire.Repl_pull { ack; max } -> (
-      match t.role with
-      | Primary w ->
-          Mutex.lock t.repl_mu;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.repl_mu)
-            (fun () ->
-              match Atomic.get t.repl_error with
-              | Some e -> oplog_failed e
-              | None ->
-                  if ack < 0 || max < 0 then Error (Wire.Bad_payload, "negative pull bounds")
-                  else
-                    let max = min max 1024 (* bound one response's size *) in
-                    Ok
-                      (Wire.Repl_records
-                         {
-                           durable = Secdb.Oplog.durable w;
-                           records = Secdb.Oplog.read_sealed w ~from:ack ~max;
-                         }))
-      | Standalone | Replica _ -> Error (Wire.App, "not a primary"))
-  | Wire.Repl_root -> attest t
-  | Wire.Sql stmt_src -> (
-      match Parser.parse stmt_src with
-      | Error e -> Error (Wire.App, e)
-      | Ok stmt -> (
-          match stmt with
-          | stmt when is_replica t && not (is_read stmt) ->
-              Error (Wire.App, "read-only replica: mutations go to the primary")
-          | _ when
-              (* every table a statement touches must live on one shard: a
-                 JOIN spanning shards has no single executor that owns both
-                 tables, so refuse it structurally instead of answering
-                 from half the data *)
-              List.length (List.sort_uniq compare (List.map (shard_index t) (Ast.stmt_tables stmt)))
-              > 1 ->
-              Error
-                ( Wire.App,
-                  Printf.sprintf "cross-shard JOIN: tables {%s} live on different shards"
-                    (String.concat ", " (Ast.stmt_tables stmt)) )
-          | _ -> (
-              let sh = shard_of t (Ast.stmt_table stmt) in
-              match Engine.exec_snapshot (Atomic.get sh.snap) stmt with
-              | Some r ->
-                  Metrics.incr t.m.m_snap_hits;
-                  (match r with Ok o -> Ok (Wire.Outcome o) | Error e -> Error (Wire.App, e))
-              | None ->
-                  (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
-                  exec_job t sh stmt req)))
+  | Wire.Sql src -> (
+      match Parser.parse src with
+      | Error e -> now (fun () -> Error (Wire.App, e))
+      | Ok stmt when is_read stmt || is_replica t -> now (fun () -> exec_sql t stmt)
+      | Ok stmt ->
+          let shard = shard_index t (Ast.stmt_table stmt) in
+          (match conn.last with Some s when s.shard <> shard -> settle conn | _ -> ());
+          let s = { owner = conn; shard; opened; reply = None } in
+          if Bqueue.push t.shards.(shard).jobs (Mutation (stmt, s)) then begin
+            conn.last <- Some s;
+            Queued s
+          end
+          else Now draining)
+  | Wire.Ping _ | Wire.Stats _ -> now (fun () -> dispatch t.shards.(0).sdb req)
+  | Wire.Repl_pull { ack; max } ->
+      now (fun () ->
+          match t.role with
+          | Primary w ->
+              Mutex.lock t.repl_mu;
+              Fun.protect
+                ~finally:(fun () -> Mutex.unlock t.repl_mu)
+                (fun () ->
+                  match Atomic.get t.repl_error with
+                  | Some e -> oplog_failed e
+                  | None ->
+                      if ack < 0 || max < 0 then Error (Wire.Bad_payload, "negative pull bounds")
+                      else
+                        let max = min max 1024 (* bound one response's size *) in
+                        Ok
+                          (Wire.Repl_records
+                             {
+                               durable = Secdb.Oplog.durable w;
+                               records = Secdb.Oplog.read_sealed w ~from:ack ~max;
+                             }))
+          | Standalone | Replica _ -> Error (Wire.App, "not a primary"))
+  | Wire.Repl_root -> now (fun () -> attest t)
 
 (* The replica's single write path: apply one pulled (already verified)
    op on the shard executor it routes to, exactly as the primary's own
@@ -583,13 +701,15 @@ let handshake t fd =
   | Ok _ -> reject Wire.Frame "expected a hello frame"
 
 (* What a connection's reader hands its writer.  A reply travels as the
-   [resp] value itself: the writer encodes it once, into its own reused
-   buffer.  A [Fatal] frame is the last thing a connection sends. *)
+   [resp] value itself, or as the slot a queued mutation will fill: the
+   writer encodes each once, into its own reused buffer.  A [Fatal] frame
+   is the last thing a connection sends. *)
 type outgoing =
   | Reply of int * (Wire.resp, Wire.err_code * string) result
+  | Deferred of int * slot
   | Fatal of Wire.frame
 
-let handle_request t session_mac (frame : Wire.frame) =
+let handle_request t conn session_mac (frame : Wire.frame) =
   match frame with
   | Wire.Request { id; body; mac } ->
       let expected = Wire.request_mac_keyed session_mac ~id ~body in
@@ -602,16 +722,17 @@ let handle_request t session_mac (frame : Wire.frame) =
         | Error _ as e ->
             Metrics.incr t.m.m_rpc_errors;
             Reply (id, e)
-        | Ok req ->
+        | Ok req -> (
             let op = Wire.op_name req in
             (match List.assoc_opt op t.m.m_rpc with Some c -> Metrics.incr c | None -> ());
-            let hist = List.assoc_opt op t.m.h_rpc in
-            let result =
-              Trace.with_span ~attrs:[ ("op", op) ] ?hist "net.dispatch" (fun () ->
-                  exec_routed t req)
-            in
-            (match result with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
-            Reply (id, result)
+            let opened = Trace.open_span () in
+            match exec_routed t conn ~opened req with
+            | Queued s -> Deferred (id, s) (* counted by [fill] *)
+            | Now result ->
+                Trace.close_span ~attrs:[ ("op", op) ] ?hist:(List.assoc_opt op t.m.h_rpc)
+                  "net.dispatch" ~start:opened;
+                (match result with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
+                Reply (id, result))
       end
   | _ -> Fatal (Wire.Conn_error { code = Wire.Frame; message = "expected a request frame" })
 
@@ -636,6 +757,7 @@ let serve_conn t fd =
           (* hoisted for the connection: every request verifies under the
              same keyed MAC *)
           let session_mac = Wire.session_mac ~session_key in
+          let conn = { cmu = Mutex.create (); filled = Condition.create (); last = None } in
           let queue = Bqueue.create t.cfg.max_inflight in
           let dead = Atomic.make false in
           let writer =
@@ -643,6 +765,10 @@ let serve_conn t fd =
               (fun () ->
                 let out = Wire.reply_writer () in
                 let stop () = Atomic.get dead in
+                let reply id result =
+                  Metrics.add t.m.m_bytes_out (Wire.encode_reply out ~id result);
+                  Wire.send_reply ~stop ~timeout:t.cfg.write_timeout out fd
+                in
                 let rec drain () =
                   match Bqueue.pop queue with
                   | None -> ()
@@ -650,9 +776,8 @@ let serve_conn t fd =
                       if not (Atomic.get dead) then begin
                         let written =
                           match item with
-                          | Reply (id, result) ->
-                              Metrics.add t.m.m_bytes_out (Wire.encode_reply out ~id result);
-                              Wire.send_reply ~stop ~timeout:t.cfg.write_timeout out fd
+                          | Reply (id, result) -> reply id result
+                          | Deferred (id, s) -> reply id (await_slot s)
                           | Fatal frame -> send ~stop t fd frame
                         in
                         if Result.is_error written then Atomic.set dead true
@@ -680,8 +805,8 @@ let serve_conn t fd =
                   ignore (Bqueue.push queue (Fatal (Wire.Conn_error { code = Wire.Frame; message = e })))
               | Ok frame -> (
                   observe_in t frame;
-                  match handle_request t session_mac frame with
-                  | Reply _ as reply -> if Bqueue.push queue reply then loop ()
+                  match handle_request t conn session_mac frame with
+                  | (Reply _ | Deferred _) as reply -> if Bqueue.push queue reply then loop ()
                   | Fatal _ as fatal -> ignore (Bqueue.push queue fatal))
           in
           loop ();

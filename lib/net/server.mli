@@ -20,10 +20,19 @@
     SELECT, JOINs included, is served lock-free from its shard's
     published read snapshot ({!Secdb_sql.Snapshot}), so it never blocks
     behind a writer; only a table the snapshot left out after an
-    integrity failure falls through to the executor.  A connection still
-    always reads its own writes, because the snapshot is republished
-    before a mutation's response is sent.  SQL is the only data-plane
-    request.
+    integrity failure falls through to the executor.  SQL is the only
+    data-plane request.
+
+    Writes are group-committed.  A connection's reader queues each
+    mutation on its shard without waiting for it and reads on; the
+    writer sends the replies in arrival order.  The executor runs every
+    job queued at once, logs the mutations among them with one oplog
+    append (one fsync), republishes the snapshot and only then answers
+    them, so an ack still follows the write's fsync and a connection
+    always reads its own writes.  A request first waits for the
+    connection's queued mutations unless it is itself a mutation on the
+    same shard, so a connection's requests take effect in the order it
+    sent them.
 
     The server is configured with the {e derived} session-auth credential
     ({!Wire.auth_key_of_master}), never the master key itself.
@@ -57,14 +66,16 @@ type t
 (** What this node is in a replication topology (default [Standalone]).
 
     A [Primary] appends every observed mutation to the given oplog writer
-    inside the executor job that performed it — before the response is
-    signalled, so an acked write is a logged write, and per-shard apply
-    order equals log order.  It answers [Repl_pull] with sealed records
-    (only fsynced ones ever ship).  It fails closed: once an append
-    fails, the log stops growing, and the mutation that hit the failure
-    and every later one are answered with a structured [oplog failed]
-    error instead of an ack (later ones are not applied); pulls and
-    [Repl_root] report the failure, and reads are still served.
+    on the executor that performed it, one {!Secdb.Oplog.append_batch}
+    per batch — before any reply of the batch is sent, so an acked write
+    is a logged write, and per-shard apply order equals log order.  It
+    answers [Repl_pull] with sealed records (only fsynced ones ever
+    ship).  It fails closed: once an append fails, the log stops
+    growing, and every mutation of the batch that hit the failure and
+    every later one are answered with a structured [oplog failed] error
+    instead of an ack (later ones are not applied, the failed batch is
+    not published to readers); pulls and [Repl_root] report the failure,
+    and reads are still served.
 
     A [Replica] rejects every mutating request with a structured
     [read-only] error — its only write path is {!apply_op}, fed by the

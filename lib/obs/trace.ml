@@ -75,15 +75,16 @@ let emit e =
       output_char stderr '\n';
       flush stderr
 
+let close ?hist span attrs t0 =
+  let duration = Unix.gettimeofday () -. t0 in
+  (match hist with Some h -> Metrics.observe h duration | None -> ());
+  emit { span; attrs; start = t0; duration }
+
 let with_span ?(attrs = []) ?hist span f =
   if not (Obs.on ()) then f ()
   else begin
     let t0 = Unix.gettimeofday () in
-    let finish () =
-      let duration = Unix.gettimeofday () -. t0 in
-      (match hist with Some h -> Metrics.observe h duration | None -> ());
-      emit { span; attrs; start = t0; duration }
-    in
+    let finish () = close ?hist span attrs t0 in
     match f () with
     | v ->
         finish ();
@@ -92,3 +93,9 @@ let with_span ?(attrs = []) ?hist span f =
         finish ();
         raise e
   end
+
+let open_span () = if Obs.on () then Unix.gettimeofday () else 0.
+
+(* a span opened while the switch was off has no start: drop it *)
+let close_span ?(attrs = []) ?hist span ~start =
+  if Obs.on () && start > 0. then close ?hist span attrs start

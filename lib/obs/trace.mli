@@ -31,4 +31,16 @@ val with_span :
     it.  The span is recorded (and [?hist] observed with the duration)
     whether [f] returns or raises. *)
 
+val open_span : unit -> float
+(** The start of a span whose end happens elsewhere (another thread, a
+    later call): [Unix.gettimeofday ()] while {!Obs.on}, else [0.] with no
+    clock read. *)
+
+val close_span :
+  ?attrs:(string * string) list -> ?hist:Metrics.histogram -> string -> start:float -> unit
+(** Record one event named [name] that opened at [start] (from
+    {!open_span}) and closes now, exactly as {!with_span} would have.  A
+    no-op while the switch is off or when [start] was taken while it was
+    off. *)
+
 val json_of_event : event -> string

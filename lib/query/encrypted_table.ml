@@ -19,7 +19,7 @@ type t = {
   id : int;
   schema : Schema.t;
   schemes : Secdb_schemes.Cell_scheme.t array; (* one per column *)
-  rows : cell array option Vec.t; (* None = tombstoned row *)
+  rows : cell array Vec.t; (* [||] = tombstoned row: a schema has at least one column *)
 }
 
 let create ~id schema ~scheme =
@@ -59,7 +59,7 @@ let insert t values =
       (fun col v -> if is_protected t col then encrypt_cell t ~row ~col v else Clear v)
       values
   in
-  Vec.push t.rows (Some (Array.of_list cells))
+  Vec.push t.rows (Array.of_list cells)
 
 let insert_many ?pool t rows =
   List.iter (check_row_arity t) rows;
@@ -90,16 +90,13 @@ let insert_many ?pool t rows =
         cells.(i).(col) <- Clear rows_arr.(i).(col)
       done
   done;
-  Array.iter (fun row_cells -> ignore (Vec.push t.rows (Some row_cells))) cells
+  Array.iter (fun row_cells -> ignore (Vec.push t.rows row_cells)) cells
 
 let decrypt_column ?pool t ~col =
   let n = nrows t in
   let live = Array.init n (fun row -> Vec.get t.rows row) in
   Array.mapi
-    (fun row cells ->
-      match cells with
-      | None -> None
-      | Some cells -> Some (row, cells.(col)))
+    (fun row cells -> match cells with [||] -> None | cells -> Some (row, cells.(col)))
     live
   |> fun tagged ->
   (* decrypt the protected cells in one batch sweep, clear cells inline *)
@@ -129,15 +126,15 @@ let decrypt_column ?pool t ~col =
 
 let live_cells t row op =
   match Vec.get t.rows row with
-  | Some cells -> cells
-  | None -> invalid_arg (Printf.sprintf "Encrypted_table.%s: row %d is deleted" op row)
+  | [||] -> invalid_arg (Printf.sprintf "Encrypted_table.%s: row %d is deleted" op row)
+  | cells -> cells
 
-let is_live t ~row = Vec.get t.rows row <> None
+let is_live t ~row = Array.length (Vec.get t.rows row) > 0
 
 let get t ~row ~col =
   match Vec.get t.rows row with
-  | None -> Error "row is deleted"
-  | Some cells -> (
+  | [||] -> Error "row is deleted"
+  | cells -> (
       match cells.(col) with
       | Clear v -> Ok v
       | Cipher ct -> (
@@ -163,7 +160,7 @@ let update t ~row ~col value =
 
 let delete_row t ~row =
   ignore (Vec.get t.rows row);
-  Vec.set t.rows row None
+  Vec.set t.rows row [||]
 
 let decrypt_row t row =
   Array.init (Schema.ncols t.schema) (fun col -> get_exn t ~row ~col)
@@ -189,8 +186,8 @@ let select_result t pred =
 
 let raw_ciphertext t ~row ~col =
   match Vec.get t.rows row with
-  | None -> None
-  | Some cells -> ( match cells.(col) with Clear _ -> None | Cipher ct -> Some ct)
+  | [||] -> None
+  | cells -> ( match cells.(col) with Clear _ -> None | Cipher ct -> Some ct)
 
 let set_raw t ~row ~col ct =
   let cells = live_cells t row "set_raw" in
@@ -226,9 +223,10 @@ type stored_cell = Stored_clear of Value.t | Stored_cipher of string
 
 let dump_rows t =
   List.init (nrows t) (fun row ->
-      Option.map
-        (Array.map (function Clear v -> Stored_clear v | Cipher ct -> Stored_cipher ct))
-        (Vec.get t.rows row))
+      match Vec.get t.rows row with
+      | [||] -> None
+      | cells ->
+          Some (Array.map (function Clear v -> Stored_clear v | Cipher ct -> Stored_cipher ct) cells))
 
 let restore ~id schema ~scheme ~rows =
   let t = create ~id schema ~scheme in
@@ -236,7 +234,7 @@ let restore ~id schema ~scheme ~rows =
   let rec load i = function
     | [] -> Ok t
     | None :: rest ->
-        ignore (Vec.push t.rows None);
+        ignore (Vec.push t.rows [||]);
         load (i + 1) rest
     | Some row :: rest ->
         if Array.length row <> ncols then
@@ -261,7 +259,7 @@ let restore ~id schema ~scheme ~rows =
           match !ok with
           | Error e -> Error e
           | Ok () ->
-              ignore (Vec.push t.rows (Some cells));
+              ignore (Vec.push t.rows cells);
               load (i + 1) rest
         end
   in

@@ -7,6 +7,91 @@ module Iset = Set.Make (Int)
 module Smap = Map.Make (String)
 module Vmap = Map.Make (Value)
 
+(* Live rows by row id.  Row ids are dense (a table's rows are numbered
+   from 0 as they are inserted), so they are kept in copy-on-write chunks
+   of [width] consecutive ids: one map node and one slot per row in place
+   of a map node per row, which is most of what a row costs here besides
+   its values.  An empty slot is [[||]] — no live row has zero columns. *)
+module Rows = struct
+  let width = 32
+
+  type t = Value.t array array Imap.t
+
+  let empty : t = Imap.empty
+  let live vs = Array.length vs > 0
+
+  let find (t : t) row =
+    match Imap.find_opt (row / width) t with
+    | Some c when live c.(row mod width) -> Some c.(row mod width)
+    | Some _ | None -> None
+
+  let add (t : t) row vs =
+    let c =
+      match Imap.find_opt (row / width) t with
+      | Some c -> Array.copy c
+      | None -> Array.make width [||]
+    in
+    c.(row mod width) <- vs;
+    Imap.add (row / width) c t
+
+  let remove (t : t) row =
+    match Imap.find_opt (row / width) t with
+    | Some c when live c.(row mod width) ->
+        let c = Array.copy c in
+        c.(row mod width) <- [||];
+        if Array.exists live c then Imap.add (row / width) c t else Imap.remove (row / width) t
+    | Some _ | None -> t
+
+  (* every live row, ascending *)
+  let bindings (t : t) =
+    Seq.fold_left
+      (fun acc (ci, c) ->
+        let acc = ref acc in
+        for i = width - 1 downto 0 do
+          if live c.(i) then acc := ((ci * width) + i, c.(i)) :: !acc
+        done;
+        !acc)
+      [] (Imap.to_rev_seq t)
+end
+
+(* The rows holding one key, ascending; a row is added to a key at most
+   once.  Most keys are held by a few rows: a sorted array costs a word
+   per row, where a set costs a five-word node.  Past [few] rows the key switches to a set, so
+   maintaining it stays O(log d) for [d] duplicates. *)
+module Keyrows = struct
+  type t = Few of int array | Many of Iset.t
+
+  let few = 32
+  let singleton row = Few [| row |]
+
+  let add t row =
+    match t with
+    | Many s -> Many (Iset.add row s)
+    | Few a when Array.length a >= few -> Many (Iset.add row (Iset.of_seq (Array.to_seq a)))
+    | Few a ->
+        (* rows mostly arrive in ascending order: find the slot from the end *)
+        let n = Array.length a in
+        let i = ref n in
+        while !i > 0 && a.(!i - 1) > row do
+          decr i
+        done;
+        Few (Array.init (n + 1) (fun j -> if j < !i then a.(j) else if j = !i then row else a.(j - 1)))
+
+  (* [None] once no row is left *)
+  let remove t row =
+    match t with
+    | Few a -> (
+        match List.filter (fun r -> r <> row) (Array.to_list a) with
+        | [] -> None
+        | rest -> Some (Few (Array.of_list rest)))
+    | Many s ->
+        let s = Iset.remove row s in
+        if Iset.is_empty s then None else Some (Many s)
+
+  let fold f t acc =
+    match t with Few a -> Array.fold_left (fun acc r -> f r acc) acc a | Many s -> Iset.fold f s acc
+end
+
 (* [keys.(c)] is [Some m] when column [c] has an exact index: [m] maps each
    value in the column, ordered by {!Value.compare}, to the rows holding
    it.  Keys are values, not {!Value.encode} strings: encoded [Int]s are
@@ -16,8 +101,8 @@ module Vmap = Map.Make (Value)
    before mutation. *)
 type table_snap = {
   schema : Schema.t;
-  rows : Value.t array Imap.t;
-  keys : Iset.t Vmap.t option array;
+  rows : Rows.t;
+  keys : Keyrows.t Vmap.t option array;
 }
 
 type t = table_snap Smap.t
@@ -26,10 +111,11 @@ let empty = Smap.empty
 let table t name = Smap.find_opt name t
 let schema ts = ts.schema
 
-let all_rows ts = Imap.bindings ts.rows
+let all_rows ts = Rows.bindings ts.rows
 
 (* prepend [rows] with their values to [acc], last row first *)
-let rev_append_rows ts rows acc = Iset.fold (fun r acc -> (r, Imap.find r ts.rows) :: acc) rows acc
+let rev_append_rows ts rows acc =
+  Keyrows.fold (fun r acc -> (r, Option.get (Rows.find ts.rows r)) :: acc) rows acc
 
 let key_map ts col = ts.keys.(Schema.col_index ts.schema col)
 let has_index ts ~col = key_map ts col <> None
@@ -50,19 +136,14 @@ let index_range ts ~col ?lo ?hi () =
 
 let add_key m v row =
   Vmap.update v
-    (function None -> Some (Iset.singleton row) | Some rows -> Some (Iset.add row rows))
+    (function None -> Some (Keyrows.singleton row) | Some rows -> Some (Keyrows.add rows row))
     m
 
 let drop_key m v row =
-  Vmap.update v
-    (function
-      | None -> None
-      | Some rows ->
-          let rows = Iset.remove row rows in
-          if Iset.is_empty rows then None else Some rows)
-    m
+  Vmap.update v (function None -> None | Some rows -> Keyrows.remove rows row) m
 
-let build_keys rows col = Imap.fold (fun row vs m -> add_key m vs.(col) row) rows Vmap.empty
+let build_keys rows col =
+  List.fold_left (fun m (row, vs) -> add_key m vs.(col) row) Vmap.empty (Rows.bindings rows)
 
 let with_table t name f =
   match Smap.find_opt name t with None -> t | Some ts -> Smap.add name (f ts) t
@@ -71,7 +152,7 @@ let apply t (change : Encdb.change) =
   match change with
   | Encdb.Created_table schema ->
       Smap.add schema.Schema.table_name
-        { schema; rows = Imap.empty; keys = Array.make (Schema.ncols schema) None }
+        { schema; rows = Rows.empty; keys = Array.make (Schema.ncols schema) None }
         t
   | Encdb.Created_index { table; col } ->
       with_table t table (fun ts ->
@@ -91,10 +172,10 @@ let apply t (change : Encdb.change) =
       with_table t table (fun ts ->
           let vs = Array.of_list values in
           let keys = Array.mapi (fun ci m -> Option.map (fun m -> add_key m vs.(ci) row) m) ts.keys in
-          { ts with rows = Imap.add row vs ts.rows; keys })
+          { ts with rows = Rows.add ts.rows row vs; keys })
   | Encdb.Updated { table; row; col; value } ->
       with_table t table (fun ts ->
-          match (Imap.find_opt row ts.rows, Schema.col_index ts.schema col) with
+          match (Rows.find ts.rows row, Schema.col_index ts.schema col) with
           | Some old, ci ->
               let vs = Array.copy old in
               vs.(ci) <- value;
@@ -106,17 +187,17 @@ let apply t (change : Encdb.change) =
                     keys.(ci) <- Some (add_key (drop_key m old.(ci) row) value row);
                     keys
               in
-              { ts with rows = Imap.add row vs ts.rows; keys }
+              { ts with rows = Rows.add ts.rows row vs; keys }
           | None, _ | (exception Not_found) -> ts)
   | Encdb.Deleted { table; row } ->
       with_table t table (fun ts ->
-          match Imap.find_opt row ts.rows with
+          match Rows.find ts.rows row with
           | None -> ts
           | Some old ->
               let keys =
                 Array.mapi (fun ci m -> Option.map (fun m -> drop_key m old.(ci) row) m) ts.keys
               in
-              { ts with rows = Imap.remove row ts.rows; keys })
+              { ts with rows = Rows.remove ts.rows row; keys })
 
 let of_db db =
   List.fold_left
@@ -127,7 +208,7 @@ let of_db db =
       | Error _ -> t (* unreadable table: leave it to the locked path *)
       | Ok live ->
           let rows =
-            List.fold_left (fun m (row, vs) -> Imap.add row vs m) Imap.empty live
+            List.fold_left (fun m (row, vs) -> Rows.add m row vs) Rows.empty live
           in
           let keys =
             Array.init (Schema.ncols schema) (fun ci ->

@@ -663,6 +663,88 @@ let test_interleaved_single_connection () =
       | Error e -> Alcotest.failf "await: %s" (Client.error_to_string e))
     (b @ a)
 
+(* Group commit keeps a connection's order.  In one burst on one
+   connection: 200 INSERTs and two UPDATEs of all of them on shard A, an
+   INSERT on A, an INSERT on shard B, then a SELECT of each.  The SELECTs
+   see both rows: a mutation bound for another shard than the
+   connection's last one waits for it, and a read waits for every
+   mutation queued before it.  The whole burst is in flight at once
+   (window and in-flight cap above its length), and each UPDATE opens
+   and re-seals 200 cells, so the server reads the last requests long
+   before shard A's executor is through the work queued ahead of them. *)
+let test_pipelined_writes_visible () =
+  let shards = 2 and window = 512 in
+  let slot n = Secdb_db.Shard.key_index ~shards n in
+  let a = "gca" in
+  let rec pick i =
+    let n = Printf.sprintf "gcb%d" i in
+    if slot n <> slot a then n else pick (i + 1)
+  in
+  let b = pick 0 in
+  with_server ~config:(Server.config ~auth_key ~shards ~max_inflight:window ()) @@ fun addr ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let sql fmt = Printf.ksprintf (fun q -> Wire.Sql q) fmt in
+  let reqs =
+    [ sql "CREATE TABLE %s (id INT CLEAR, v TEXT)" a; sql "CREATE TABLE %s (id INT CLEAR, v TEXT)" b ]
+    @ List.init 200 (fun i -> sql "INSERT INTO %s VALUES (%d, 'bulk')" a (i + 100))
+    @ [
+        sql "UPDATE %s SET v = 'again' WHERE v = 'bulk'" a;
+        sql "UPDATE %s SET v = 'bulk' WHERE v = 'again'" a;
+        sql "INSERT INTO %s VALUES (1, 'on a')" a;
+        sql "INSERT INTO %s VALUES (2, 'on b')" b;
+        sql "SELECT v FROM %s WHERE id = 1" a;
+        sql "SELECT v FROM %s WHERE id = 2" b;
+        sql "SELECT count(*) FROM %s" a;
+      ]
+  in
+  let rows = function
+    | Ok (Wire.Outcome (Secdb_sql.Engine.Rows { rows; _ })) -> rows
+    | Ok _ -> Alcotest.fail "not rows"
+    | Error e -> Alcotest.failf "select: %s" (Client.error_to_string e)
+  in
+  match List.rev (Client.pipeline ~window c reqs) with
+  | count :: on_b :: on_a :: writes ->
+      List.iter
+        (function Ok _ -> () | Error e -> Alcotest.failf "write: %s" (Client.error_to_string e))
+        writes;
+      let cell = Alcotest.(list (list string)) in
+      let show = List.map (List.map (Fmt.str "%a" Value.pp)) in
+      Alcotest.check cell "row on shard A" [ [ "\"on a\"" ] ] (show (rows on_a));
+      Alcotest.check cell "row on shard B" [ [ "\"on b\"" ] ] (show (rows on_b));
+      Alcotest.check cell "every write on A" [ [ "201" ] ] (show (rows count))
+  | _ -> Alcotest.fail "missing replies"
+
+(* A queued mutation is counted where its result is known — when its
+   executor fills the reply, not when the reader queues it: each SQL
+   request adds one observation to [net.rpc_latency{op=sql}], and a
+   mutation that fails on the executor counts in [net.rpc_errors]. *)
+let test_deferred_reply_metrics () =
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let module M = Secdb_obs.Metrics in
+  let latency = M.histogram ~labels:[ ("op", "sql") ] "net.rpc_latency" in
+  let errors = M.counter "net.rpc_errors" in
+  with_server @@ fun addr ->
+  let c = connect addr in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let n0 = M.hist_count latency and e0 = M.value errors in
+  let replies =
+    Client.pipeline c
+      (List.map
+         (fun q -> Wire.Sql q)
+         [
+           "CREATE TABLE dm (id INT CLEAR, v TEXT)";
+           "INSERT INTO dm VALUES (1, 'a')";
+           "INSERT INTO nowhere VALUES (2, 'b')";
+           "INSERT INTO dm VALUES ('three', 'c')";
+           "INSERT INTO dm VALUES (4, 'd')";
+         ])
+  in
+  Alcotest.(check (list bool)) "replies" [ true; true; false; false; true ]
+    (List.map Result.is_ok replies);
+  Alcotest.(check int) "one latency per statement" 5 (M.hist_count latency - n0);
+  Alcotest.(check int) "executor failures are errors" 2 (M.value errors - e0)
+
 let test_tampered_request () =
   with_server @@ fun addr ->
   let c = connect addr in
@@ -863,6 +945,9 @@ let suites =
         Alcotest.test_case "same-shard JOINs ride the snapshot" `Quick test_snapshot_join;
         Alcotest.test_case "interleaved batches match responses by id" `Quick
           test_interleaved_single_connection;
+        Alcotest.test_case "pipelined writes on two shards, then reads see both" `Quick
+          test_pipelined_writes_visible;
+        Alcotest.test_case "queued mutations count at completion" `Quick test_deferred_reply_metrics;
         Alcotest.test_case "tampered request -> auth error, connection survives" `Quick
           test_tampered_request;
         Alcotest.test_case "retired op bytes -> structured unknown-op, connection survives" `Quick

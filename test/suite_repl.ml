@@ -707,6 +707,142 @@ let test_oplog_failure_fails_closed () =
           Alcotest.(check int) "acked mutations = durable records" !acked (List.length records))
     [ (`Fsync, `ENOSPC); (`Fsync, `EIO); (`Pwrite, `ENOSPC); (`Pwrite, `EIO) ]
 
+(* Fail closed under group commit: a client pipelines a burst of INSERTs,
+   so the executor commits them in batches (at most the client's window
+   each), and a write or an fsync fails under one of those batches.  The
+   acks stop at a prefix of the burst — the failed batch gets the error
+   for every mutation in it, and every later mutation is refused — and
+   after a power loss the log holds exactly the acked mutations. *)
+let test_group_commit_fails_closed () =
+  List.iter
+    (fun (op, err, after) ->
+      with_dir @@ fun dir ->
+      let ctl = Fault.make ~seed:43 () in
+      let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
+      let sock = Wire.Unix_sock (Filename.concat dir "p.sock") in
+      let srv =
+        match
+          Server.create ~seed:7L ~role:(Server.Primary w) ~config:(Server.config ~auth_key ~shards ())
+            ~db:(fun shard -> mkdb ~shard ())
+            sock
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "primary: %s" e
+      in
+      Server.start srv;
+      let failed_closed = function
+        | Error (Client.Remote (Wire.Server_error, msg)) -> contains ~affix:"oplog failed" msg
+        | _ -> false
+      in
+      let burst = 200 and window = 32 in
+      let acked =
+        Fun.protect
+          ~finally:(fun () -> Server.stop srv)
+          (fun () ->
+            let c = connect sock in
+            ignore (sql c "CREATE TABLE t (id INT, v TEXT)");
+            (* each batch holds at most [window] mutations, so the burst
+               takes more than [after] batch writes and fsyncs *)
+            Fault.fail_op ctl ~op ~after ~err;
+            let replies =
+              Client.pipeline ~window c
+                (List.init burst (fun i -> Wire.Sql (Printf.sprintf "INSERT INTO t VALUES (%d, 'v')" i)))
+            in
+            let acks = List.length (List.filter Result.is_ok replies) in
+            List.iteri
+              (fun i r ->
+                if i < acks then (
+                  if Result.is_error r then Alcotest.failf "reply %d: an error inside the acked prefix" i)
+                else if not (failed_closed r) then
+                  Alcotest.failf "reply %d after the failure is not the oplog error" i)
+              replies;
+            Alcotest.(check bool) "the failure refused part of the burst" true (acks < burst);
+            Alcotest.(check bool) "a later mutation is refused" true
+              (failed_closed (Client.call c (Wire.Sql "INSERT INTO t VALUES (-1, 'late')")));
+            Client.close c;
+            1 + acks)
+      in
+      (* power loss: only what was fsynced survives *)
+      Fault.crash_now ctl;
+      let path = Filename.concat dir "p.log" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Fault.dump ctl ~path:"mem:p.log"));
+      match Oplog.recover ~path ~aead () with
+      | Error e -> Alcotest.failf "recover: %s" e
+      | Ok (records, _) ->
+          Alcotest.(check int) "acked mutations = durable records" acked (List.length records))
+    [ (`Fsync, `EIO, 1); (`Fsync, `ENOSPC, 3); (`Pwrite, `EIO, 1); (`Pwrite, `ENOSPC, 3) ]
+
+(* The group-commit windows of the crash matrix.  A batch is sealed into
+   one write and covered by one fsync.  Whether a crash tears batch [k]'s
+   write, or falls between that write and its fsync (the fsync fails,
+   then the power goes), the log recovers to the batches whose append
+   returned — plus, for a torn write, at most a strict prefix of batch
+   [k]'s records, and for a missed fsync none of them — and a resumed
+   writer seats exactly that history. *)
+let test_crash_matrix_group_commit () =
+  let ops = sample_ops 10 in
+  let rec cut sizes ops =
+    match (sizes, ops) with
+    | _, [] -> []
+    | [], ops -> [ ops ]
+    | n :: sizes, ops ->
+        let batch = List.filteri (fun i _ -> i < n) ops in
+        batch :: cut sizes (List.filteri (fun i _ -> i >= n) ops)
+  in
+  let batches = cut [ 1; 3; 2; 4; 1 ] ops in
+  let run ~seed arm =
+    let ctl = Fault.make ~seed () in
+    let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:g.log" ~aead ~nonce:(nonce ()) () in
+    arm ctl;
+    let acked = ref 0 in
+    (try
+       List.iter
+         (fun batch ->
+           ignore (Oplog.append_batch w batch);
+           acked := Oplog.durable w)
+         batches
+     with Vfs.Crashed _ | Vfs.Io_error _ -> ());
+    if not (Fault.crashed ctl) then Fault.crash_now ctl;
+    ((try Fault.dump ctl ~path:"mem:g.log" with Vfs.Io_error _ -> ""), !acked)
+  in
+  let recovered ~what img =
+    with_dir @@ fun dir ->
+    let path = Filename.concat dir "g.log" in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc img);
+    match Oplog.recover ~path ~aead () with
+    | Error e -> Alcotest.failf "%s: recover: %s" what e
+    | Ok (records, _) ->
+        List.iteri
+          (fun i (seq, op) ->
+            if seq <> i || op <> List.nth ops i then
+              Alcotest.failf "%s: record %d is not the op appended there" what i)
+          records;
+        let rng = Rng.create ~seed:5L () in
+        let w = Oplog.create ~mode:`Resume ~path ~aead ~nonce:(Repl.log_nonce ~rng) () in
+        Alcotest.(check int) (what ^ ": resume count") (List.length records) (Oplog.count w);
+        Oplog.close w;
+        List.length records
+  in
+  List.iteri
+    (fun i batch ->
+      let k = i + 1 in
+      let before = List.length (List.concat (List.filteri (fun j _ -> j < i) batches)) in
+      let what = Printf.sprintf "batch %d torn" k in
+      let img, acked = run ~seed:(3300 + k) (fun ctl -> Fault.crash_after_writes ctl k) in
+      Alcotest.(check int) (what ^ ": acked") before acked;
+      let n = recovered ~what img in
+      if n < acked || n >= acked + List.length batch then
+        Alcotest.failf "%s: %d records recovered, want %d..%d" what n acked
+          (acked + List.length batch - 1);
+      let what = Printf.sprintf "batch %d written, fsync missed" k in
+      let img, acked =
+        run ~seed:(3400 + k) (fun ctl -> Fault.fail_op ctl ~op:`Fsync ~after:k ~err:`EIO)
+      in
+      Alcotest.(check int) (what ^ ": acked") before acked;
+      Alcotest.(check int) (what ^ ": recovered") acked (recovered ~what img))
+    batches
+
 (* --- properties ----------------------------------------------------------- *)
 
 let qc = Test_seed.qc
@@ -873,6 +1009,8 @@ let suites =
         Alcotest.test_case "replica crash matrix" `Quick test_crash_matrix_replica;
         Alcotest.test_case "restore past the prefix fails" `Quick test_restore_beyond_prefix_fails;
         Alcotest.test_case "oplog failure fails closed" `Quick test_oplog_failure_fails_closed;
+        Alcotest.test_case "group commit fails closed" `Quick test_group_commit_fails_closed;
+        Alcotest.test_case "group commit crash matrix" `Quick test_crash_matrix_group_commit;
       ] );
     ("repl:props", [ qc prop_replica_prefix; qc prop_restore_equiv ]);
     ( "repl:client",

@@ -746,6 +746,56 @@ let prop_snapshot_apply_matches_locked =
           | Error e -> QCheck2.Test.fail_reportf "%s: %s" sql e)
         script)
 
+(* Past the property's small scripts: 150 rows span several row chunks
+   and pile 75 rows onto each of two keys, so the snapshot keeps a key's
+   rows both as a short array and as a set.  Deletes empty whole chunks
+   and move keys across the switch; every SELECT must still answer
+   exactly what the locked engine answers. *)
+let test_snapshot_chunks_and_crowded_keys () =
+  let db = Encdb.create ~master:"snapshot-chunks" ~profile:(Encdb.Fixed Encdb.Eax) () in
+  let pending = ref [] in
+  Encdb.set_on_change db (Some (fun ch -> pending := ch :: !pending));
+  let snap = ref (Snap.of_db db) in
+  let mutate sql =
+    (match E.exec db sql with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" sql e);
+    snap := List.fold_left Snap.apply !snap (List.rev !pending);
+    pending := []
+  in
+  let check sql =
+    match P.parse sql with
+    | Ok select -> (
+        match E.exec_snapshot !snap select with
+        | Some fast when fast = E.exec db sql -> ()
+        | Some _ -> Alcotest.failf "%s: snapshot answer differs" sql
+        | None -> Alcotest.failf "%s: snapshot declined" sql)
+    | Error e -> Alcotest.failf "%s: %s" sql e
+  in
+  let queries () =
+    List.iter check
+      [
+        "SELECT * FROM c";
+        "SELECT id FROM c WHERE k = 0";
+        "SELECT id FROM c WHERE k = 1 ORDER BY id DESC LIMIT 7";
+        "SELECT count(*) FROM c WHERE k BETWEEN 0 AND 1";
+        "SELECT k, count(*) FROM c GROUP BY k";
+        "SELECT id FROM c WHERE name = 'n7'";
+      ]
+  in
+  mutate "CREATE TABLE c (id INT CLEAR, k INT, name TEXT)";
+  mutate "CREATE INDEX ON c (k)";
+  for i = 0 to 149 do
+    mutate (Printf.sprintf "INSERT INTO c VALUES (%d, %d, 'n%d')" i (i mod 2) (i mod 10))
+  done;
+  mutate "CREATE INDEX ON c (name)";
+  queries ();
+  mutate "DELETE FROM c WHERE id < 40";
+  mutate "UPDATE c SET k = 2 WHERE id >= 60 AND id < 130";
+  queries ();
+  mutate "DELETE FROM c WHERE k = 2";
+  mutate "UPDATE c SET k = 0 WHERE id >= 140";
+  queries ();
+  check "SELECT id FROM c WHERE k = 2"
+
 (* An invalid query fails the same way whatever the plan, the data or the
    row source: an unknown column is rejected at resolution, never left to
    the residual filter, which only sees it when some candidate row
@@ -782,6 +832,8 @@ let suites =
       ( "sql:snapshot",
         [
           Test_seed.qc prop_snapshot_apply_matches_locked;
+          Alcotest.test_case "row chunks and crowded keys match the locked engine" `Quick
+            test_snapshot_chunks_and_crowded_keys;
           Alcotest.test_case "unknown column fails whatever the data and source" `Quick
             test_unknown_column_is_data_independent;
         ] );

@@ -345,12 +345,16 @@ let log_changes t changes =
 let oplog_failed e = Error (Wire.Server_error, "oplog failed: " ^ e)
 let draining = Error (Wire.Server_error, "server draining")
 
-(* Fill a mutation's reply slot; its latency and error are counted here,
-   where its result is known. *)
+(* Count a request's latency and error once its result is known. *)
+let count_result t op ~opened r =
+  Trace.close_span ~attrs:[ ("op", op) ] ?hist:(List.assoc_opt op t.m.h_rpc) "net.dispatch"
+    ~start:opened;
+  match r with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ()
+
+(* Fill a mutation's reply slot, counting it here, where its result is
+   known. *)
 let fill t s r =
-  (match r with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
-  Trace.close_span ~attrs:[ ("op", "sql") ] ?hist:(List.assoc_opt "sql" t.m.h_rpc) "net.dispatch"
-    ~start:s.opened;
+  count_result t "sql" ~opened:s.opened r;
   Mutex.lock s.owner.cmu;
   s.reply <- Some r;
   Condition.broadcast s.owner.filled;
@@ -358,8 +362,10 @@ let fill t s r =
 
 (* Log the batch's changes, publish them, then fill every reply of the
    batch ([batch] is newest first).  A batch whose log append fails is
-   not published — readers keep the last durable state — and every
-   mutation in it gets the error. *)
+   not published, so snapshot reads keep the last durable state, and
+   every mutation in it gets the error.  The shard's database does hold
+   the failed batch: reads that would run on it are refused from then on
+   (see [exec_sql]). *)
 let commit t sh batch =
   let changes = take_changes sh in
   let replies =
@@ -378,7 +384,7 @@ let commit t sh batch =
    commits the open batch first, so a barrier, a replicated op, an
    EXPLAIN or a SELECT the snapshot declined never sees a state that is
    not yet durable.  Once the log has failed a mutation is refused before
-   it runs, so the served state moves no further ahead of the log. *)
+   it runs, so the database moves no further ahead of the log. *)
 let executor t sh =
   let run batch = function
     | Mutation (stmt, s) ->
@@ -533,6 +539,15 @@ let attest t =
 
 (* --- routing ------------------------------------------------------------------ *)
 
+(* What a connection's reader hands its writer.  A reply travels as the
+   [resp] value itself, or as the slot a queued mutation will fill: the
+   writer encodes each once, into its own reused buffer.  A [Fatal] frame
+   is the last thing a connection sends. *)
+type outgoing =
+  | Reply of int * (Wire.resp, Wire.err_code * string) result
+  | Deferred of int * slot
+  | Fatal of Wire.frame
+
 (* Wait until every mutation the connection has queued is done.  On one
    shard the newest is enough: a shard's queue is FIFO and a batch fills
    its replies only after every earlier batch. *)
@@ -543,15 +558,13 @@ let settle conn =
       ignore (await_slot s);
       conn.last <- None
 
-type routed =
-  | Now of (Wire.resp, Wire.err_code * string) result
-  | Queued of slot  (** a mutation on its shard's queue; the slot is its reply *)
-
 (* A statement that is not a mutation.  In order: a replica rejects
    mutations, a JOIN spanning shards is refused, a SELECT is answered from
    the shard's published snapshot (lock-free), and what the snapshot
    declines — EXPLAIN, and SELECTs on a table {!Snapshot.of_db} left out
-   after an integrity failure — runs as a job on the shard's executor. *)
+   after an integrity failure — runs as a job on the shard's executor.
+   Such a job is refused once the log has failed: the database may then
+   hold a batch that was never logged. *)
 let exec_sql t (stmt : Ast.stmt) =
   match stmt with
   | stmt when is_replica t && not (is_read stmt) ->
@@ -573,7 +586,12 @@ let exec_sql t (stmt : Ast.stmt) =
           outcome r
       | None -> (
           (match stmt with Ast.Select _ -> Metrics.incr t.m.m_snap_misses | _ -> ());
-          match run_job sh (fun () -> exec_stmt sh.sdb stmt) with
+          match
+            run_job sh (fun () ->
+                match Atomic.get t.repl_error with
+                | Some e -> oplog_failed e
+                | None -> exec_stmt sh.sdb stmt)
+          with
           | Ok r -> r
           | Error `Draining -> draining))
 
@@ -584,11 +602,19 @@ let exec_sql t (stmt : Ast.stmt) =
    a mutation bound for another shard than the connection's last one: a
    connection's requests take effect in the order it sent them, and a
    read sees the connection's own writes.  Ping and Stats touch no table
-   and are answered inline. *)
-let exec_routed t conn ~opened (req : Wire.req) =
+   and are answered inline.  An inline reply is counted here, a queued
+   one by [fill]. *)
+let exec_routed t conn ~id (req : Wire.req) =
+  let op = Wire.op_name req in
+  (match List.assoc_opt op t.m.m_rpc with Some c -> Metrics.incr c | None -> ());
+  let opened = Trace.open_span () in
+  let reply result =
+    count_result t op ~opened result;
+    Reply (id, result)
+  in
   let now f =
     settle conn;
-    Now (f ())
+    reply (f ())
   in
   match req with
   | Wire.Sql src -> (
@@ -601,9 +627,9 @@ let exec_routed t conn ~opened (req : Wire.req) =
           let s = { owner = conn; shard; opened; reply = None } in
           if Bqueue.push t.shards.(shard).jobs (Mutation (stmt, s)) then begin
             conn.last <- Some s;
-            Queued s
+            Deferred (id, s)
           end
-          else Now draining)
+          else reply draining)
   | Wire.Ping _ | Wire.Stats _ -> now (fun () -> dispatch t.shards.(0).sdb req)
   | Wire.Repl_pull { ack; max } ->
       now (fun () ->
@@ -700,15 +726,6 @@ let handshake t fd =
             | Error (`Eof | `Timeout | `Stopped) -> Error ()))
   | Ok _ -> reject Wire.Frame "expected a hello frame"
 
-(* What a connection's reader hands its writer.  A reply travels as the
-   [resp] value itself, or as the slot a queued mutation will fill: the
-   writer encodes each once, into its own reused buffer.  A [Fatal] frame
-   is the last thing a connection sends. *)
-type outgoing =
-  | Reply of int * (Wire.resp, Wire.err_code * string) result
-  | Deferred of int * slot
-  | Fatal of Wire.frame
-
 let handle_request t conn session_mac (frame : Wire.frame) =
   match frame with
   | Wire.Request { id; body; mac } ->
@@ -722,17 +739,7 @@ let handle_request t conn session_mac (frame : Wire.frame) =
         | Error _ as e ->
             Metrics.incr t.m.m_rpc_errors;
             Reply (id, e)
-        | Ok req -> (
-            let op = Wire.op_name req in
-            (match List.assoc_opt op t.m.m_rpc with Some c -> Metrics.incr c | None -> ());
-            let opened = Trace.open_span () in
-            match exec_routed t conn ~opened req with
-            | Queued s -> Deferred (id, s) (* counted by [fill] *)
-            | Now result ->
-                Trace.close_span ~attrs:[ ("op", op) ] ?hist:(List.assoc_opt op t.m.h_rpc)
-                  "net.dispatch" ~start:opened;
-                (match result with Error _ -> Metrics.incr t.m.m_rpc_errors | Ok _ -> ());
-                Reply (id, result))
+        | Ok req -> exec_routed t conn ~id req
       end
   | _ -> Fatal (Wire.Conn_error { code = Wire.Frame; message = "expected a request frame" })
 

@@ -73,9 +73,12 @@ type t
     ship).  It fails closed: once an append fails, the log stops
     growing, and every mutation of the batch that hit the failure and
     every later one are answered with a structured [oplog failed] error
-    instead of an ack (later ones are not applied, the failed batch is
-    not published to readers); pulls and [Repl_root] report the failure,
-    and reads are still served.
+    instead of an ack (later ones are not applied).  The failed batch
+    stays in the shard's database but is not published to the snapshot:
+    snapshot reads are still served and see the last logged state, while
+    reads that would run on the database (EXPLAIN, a SELECT the snapshot
+    declines) are refused with the same error.  Pulls and [Repl_root]
+    report the failure too.
 
     A [Replica] rejects every mutating request with a structured
     [read-only] error — its only write path is {!apply_op}, fed by the

@@ -54,44 +54,6 @@ module Rows = struct
       [] (Imap.to_rev_seq t)
 end
 
-(* The rows holding one key, ascending; a row is added to a key at most
-   once.  Most keys are held by a few rows: a sorted array costs a word
-   per row, where a set costs a five-word node.  Past [few] rows the key switches to a set, so
-   maintaining it stays O(log d) for [d] duplicates. *)
-module Keyrows = struct
-  type t = Few of int array | Many of Iset.t
-
-  let few = 32
-  let singleton row = Few [| row |]
-
-  let add t row =
-    match t with
-    | Many s -> Many (Iset.add row s)
-    | Few a when Array.length a >= few -> Many (Iset.add row (Iset.of_seq (Array.to_seq a)))
-    | Few a ->
-        (* rows mostly arrive in ascending order: find the slot from the end *)
-        let n = Array.length a in
-        let i = ref n in
-        while !i > 0 && a.(!i - 1) > row do
-          decr i
-        done;
-        Few (Array.init (n + 1) (fun j -> if j < !i then a.(j) else if j = !i then row else a.(j - 1)))
-
-  (* [None] once no row is left *)
-  let remove t row =
-    match t with
-    | Few a -> (
-        match List.filter (fun r -> r <> row) (Array.to_list a) with
-        | [] -> None
-        | rest -> Some (Few (Array.of_list rest)))
-    | Many s ->
-        let s = Iset.remove row s in
-        if Iset.is_empty s then None else Some (Many s)
-
-  let fold f t acc =
-    match t with Few a -> Array.fold_left (fun acc r -> f r acc) acc a | Many s -> Iset.fold f s acc
-end
-
 (* [keys.(c)] is [Some m] when column [c] has an exact index: [m] maps each
    value in the column, ordered by {!Value.compare}, to the rows holding
    it.  Keys are values, not {!Value.encode} strings: encoded [Int]s are
@@ -102,7 +64,7 @@ end
 type table_snap = {
   schema : Schema.t;
   rows : Rows.t;
-  keys : Keyrows.t Vmap.t option array;
+  keys : Iset.t Vmap.t option array;
 }
 
 type t = table_snap Smap.t
@@ -115,7 +77,7 @@ let all_rows ts = Rows.bindings ts.rows
 
 (* prepend [rows] with their values to [acc], last row first *)
 let rev_append_rows ts rows acc =
-  Keyrows.fold (fun r acc -> (r, Option.get (Rows.find ts.rows r)) :: acc) rows acc
+  Iset.fold (fun r acc -> (r, Option.get (Rows.find ts.rows r)) :: acc) rows acc
 
 let key_map ts col = ts.keys.(Schema.col_index ts.schema col)
 let has_index ts ~col = key_map ts col <> None
@@ -136,11 +98,17 @@ let index_range ts ~col ?lo ?hi () =
 
 let add_key m v row =
   Vmap.update v
-    (function None -> Some (Keyrows.singleton row) | Some rows -> Some (Keyrows.add rows row))
+    (function None -> Some (Iset.singleton row) | Some rows -> Some (Iset.add row rows))
     m
 
 let drop_key m v row =
-  Vmap.update v (function None -> None | Some rows -> Keyrows.remove rows row) m
+  Vmap.update v
+    (function
+      | None -> None
+      | Some rows ->
+          let rows = Iset.remove row rows in
+          if Iset.is_empty rows then None else Some rows)
+    m
 
 let build_keys rows col =
   List.fold_left (fun m (row, vs) -> add_key m vs.(col) row) Vmap.empty (Rows.bindings rows)

@@ -759,6 +759,14 @@ let test_group_commit_fails_closed () =
             Alcotest.(check bool) "the failure refused part of the burst" true (acks < burst);
             Alcotest.(check bool) "a later mutation is refused" true
               (failed_closed (Client.call c (Wire.Sql "INSERT INTO t VALUES (-1, 'late')")));
+            (* the shard's database holds the failed batch, the snapshot
+               only what was logged *)
+            Alcotest.(check bool) "a read on the executor is refused" true
+              (failed_closed (Client.call c (Wire.Sql "EXPLAIN SELECT v FROM t")));
+            (match sql c "SELECT count(*) FROM t" with
+            | Secdb_sql.Engine.Rows { rows = [ [ Value.Int n ] ]; _ } ->
+                Alcotest.(check int) "the snapshot holds the acked rows" acks (Int64.to_int n)
+            | _ -> Alcotest.fail "count: unexpected outcome");
             Client.close c;
             1 + acks)
       in

@@ -66,6 +66,18 @@ PROOT=$(root_of "$PSOCK")
 wait_applied "$R1SOCK" "$APPLIED"
 wait_applied "$R2SOCK" "$APPLIED"
 
+# R1 keeps its log copy with one write and one fsync per pull, not per
+# record, so the records it took outnumber its fsyncs
+counter() { # sock, name
+  "$SECDB" client -a "unix:$1" --stats | awk -v n="$2" '$1 == "counter" && $2 == n { print $3 }'
+}
+R1_APPENDS=$(counter "$R1SOCK" oplog.appends)
+R1_SYNCS=$(counter "$R1SOCK" oplog.syncs)
+[ "$R1_APPENDS" = "$APPLIED" ] && [ "$R1_SYNCS" -lt "$R1_APPENDS" ] || {
+  echo "replication smoke: replica took $R1_SYNCS fsyncs for $R1_APPENDS records, want fewer" >&2
+  exit 1
+}
+
 # a replica must refuse writes with a structured error...
 if "$SECDB" client -a "unix:$R1SOCK" -e "INSERT INTO users VALUES (9, 'eve')" \
   >"$DIR/reject.out" 2>&1; then

@@ -102,7 +102,7 @@ kill -TERM "$SRV4"
 wait "$SRV4" || { echo "serve smoke: 4-shard server exited non-zero on SIGTERM" >&2; exit 1; }
 grep -q 'drained, bye' "$DIR/serve4.log" || { echo "serve smoke: 4-shard no drain message" >&2; exit 1; }
 
-# Group commit: boot a primary with an oplog (fsync policy Always).  One
+# Group commit: boot a primary with an oplog (one fsync per append).  One
 # INSERT per client call is one fsync per appended record; a pipelined
 # burst on one connection lets the executor commit queued INSERTs
 # together, so the burst takes fewer fsyncs than records.  Either check

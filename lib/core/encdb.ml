@@ -48,19 +48,9 @@ let all_profiles =
     Siv_deterministic;
   ]
 
-module Pbt = Secdb_storage.Paged_bptree
 module Rtree = Secdb_index.Range_tree
 module Metrics = Secdb_obs.Metrics
 module Obs = Secdb_obs.Obs
-
-(* Where index entries live: on the heap (the historical default), or in
-   AEAD-sealed nodes on pager pages — the paper's Section 4 fix applied
-   per node, letting datasets exceed RAM (one file per database). *)
-type index_backing =
-  | Memory
-  | Paged of { path : string; page_size : int; cache_nodes : int }
-
-type index_impl = Mem of Bptree.t | Paged_tree of Pbt.t
 
 type change =
   | Created_table of Schema.t
@@ -77,21 +67,19 @@ type t = {
   rng : Rng.t;
   mu : Address.mu;
   tables : (string, Etable.t) Hashtbl.t;
-  indexes : (string * string, index_impl) Hashtbl.t;
+  indexes : (string * string, Bptree.t) Hashtbl.t;
   range_indexes : (string * string, Rtree.t) Hashtbl.t;
   index_hists : (string * string, Secdb_query.Histogram.t) Hashtbl.t;
   row_counts : (string, int ref) Hashtbl.t;
       (* live rows per table — the planner's cardinality input, mirrored
          into the [db.rows{table}] gauge so `secdb stats` shows exactly
          what the cost model saw *)
-  backing : index_backing;
-  mutable index_pager : Secdb_storage.Pager.t option;
   mutable on_change : (change -> unit) option;
   mutable next_table_id : int;
   mutable next_index_id : int;
 }
 
-let create ?(seed = 1L) ?(order = 4) ?(index_backing = Memory) ?(first_table_id = 1)
+let create ?(seed = 1L) ?(order = 4) ?(first_table_id = 1)
     ?(first_index_id = 1000) ~master ~profile () =
   {
     profile;
@@ -104,8 +92,6 @@ let create ?(seed = 1L) ?(order = 4) ?(index_backing = Memory) ?(first_table_id 
     range_indexes = Hashtbl.create 8;
     index_hists = Hashtbl.create 8;
     row_counts = Hashtbl.create 8;
-    backing = index_backing;
-    index_pager = None;
     on_change = None;
     next_table_id = first_table_id;
     next_index_id = first_index_id;
@@ -117,16 +103,7 @@ let notify t c = match t.on_change with Some f -> f c | None -> ()
 let profile t = t.profile
 let keyring t = t.keyring
 
-let close t =
-  (match t.index_pager with
-  | Some p ->
-      Hashtbl.iter
-        (fun _ impl -> match impl with Paged_tree pt -> Pbt.flush pt | Mem _ -> ())
-        t.indexes;
-      Secdb_storage.Pager.close p;
-      t.index_pager <- None
-  | None -> ());
-  Keyring.close_session t.keyring
+let close t = Keyring.close_session t.keyring
 
 (* The derived keys live inside scheme closures; ending the session models
    their secure removal, so every data operation checks the session first. *)
@@ -267,34 +244,6 @@ let indexes_on t name =
     (fun (tbl, col) tree acc -> if tbl = name then (col, tree) :: acc else acc)
     t.indexes []
 
-let index_pager t =
-  match t.index_pager with
-  | Some p -> p
-  | None -> (
-      match t.backing with
-      | Memory -> invalid_arg "Encdb: no paged index backing configured"
-      | Paged { path; page_size; _ } ->
-          let p = Secdb_storage.Pager.create ~path ~page_size () in
-          t.index_pager <- Some p;
-          p)
-
-(* Node pages are sealed under keys derived per index, independent of the
-   per-entry index keys, with the profile's AEAD (EAX for the legacy
-   profiles, which predate AEAD at the cell layer). *)
-let node_seal t ~table_id ~col_id ~tree_id =
-  let key =
-    Keyring.derive t.keyring ~label:(Printf.sprintf "pbt-node:%d:%d" table_id col_id)
-      ~length:16
-  in
-  let mac_key =
-    Keyring.derive t.keyring ~label:(Printf.sprintf "pbt-mac:%d:%d" table_id col_id)
-      ~length:16
-  in
-  let which = match t.profile with Fixed w -> w | _ -> Eax in
-  let aead = make_aead which ~key ~mac_key in
-  let nonce = Secdb_aead.Nonce.of_rng t.rng ~size:aead.Secdb_aead.Aead.nonce_size in
-  Pbt.aead_seal ~aead ~nonce ~tree_id
-
 let create_index t ~table:name ~col =
   ensure_open t;
   let tbl = table t name in
@@ -312,23 +261,11 @@ let create_index t ~table:name ~col =
   let sorted = List.stable_sort (fun (a, _) (b, _) -> Value.compare a b) !entries in
   let tree_id = t.next_index_id in
   t.next_index_id <- tree_id + 1;
-  let impl =
-    match t.backing with
-    | Memory ->
-        let codec = index_codec t ~table_id:(Etable.id tbl) ~col_id in
-        Mem (Bptree.bulk_load ~order:t.order ~id:tree_id ~codec sorted)
-    | Paged { cache_nodes; _ } ->
-        let seal = node_seal t ~table_id:(Etable.id tbl) ~col_id ~tree_id in
-        let pt =
-          Pbt.create ~pager:(index_pager t) ~seal ~order:t.order ~cache_nodes ~id:tree_id ()
-        in
-        (* sorted insertion preserves bulk_load's duplicate order *)
-        List.iter (fun (v, row) -> Pbt.insert pt v ~table_row:row) sorted;
-        Paged_tree pt
-  in
+  let codec = index_codec t ~table_id:(Etable.id tbl) ~col_id in
+  let tree = Bptree.bulk_load ~order:t.order ~id:tree_id ~codec sorted in
   let hist = Secdb_query.Histogram.of_values (List.map fst sorted) in
   Hashtbl.replace t.index_hists (name, col) hist;
-  Hashtbl.add t.indexes (name, col) impl;
+  Hashtbl.add t.indexes (name, col) tree;
   notify t (Created_index { table = name; col })
 
 let has_index t ~table:name ~col = Hashtbl.mem t.indexes (name, col)
@@ -339,8 +276,7 @@ let has_index t ~table:name ~col = Hashtbl.mem t.indexes (name, col)
    with the (tree id, sequence, bucket) triple as the authenticated
    address, so relocating an entry — the rank-shifting attack — fails to
    decrypt.  Keys are derived per index, independent of the cell and
-   per-entry index keys; legacy profiles (which predate AEAD) get EAX,
-   like the paged-node seal. *)
+   per-entry index keys; legacy profiles (which predate AEAD) get EAX. *)
 let range_sealer t ~table_id ~col_id ~tree_id =
   let key =
     Keyring.derive t.keyring ~label:(Printf.sprintf "rix-key:%d:%d" table_id col_id) ~length:16
@@ -404,10 +340,7 @@ let create_range_index t ~table:name ~col ?(buckets = 16) () =
   Hashtbl.add t.range_indexes (name, col) tree;
   notify t (Created_range_index { table = name; col; buckets })
 
-let index t ~table:name ~col =
-  match Hashtbl.find_opt t.indexes (name, col) with
-  | Some (Mem tree) -> tree
-  | Some (Paged_tree _) | None -> raise Not_found
+let index t ~table:name ~col = Hashtbl.find t.indexes (name, col)
 
 let index_selectivity t ~table:name ~col ~lo ~hi =
   Option.map
@@ -424,26 +357,16 @@ let hist_remove t name col v =
   | Some h -> Secdb_query.Histogram.remove h v
   | None -> ()
 
-let impl_insert impl v ~table_row =
-  match impl with
-  | Mem tree -> Bptree.insert tree v ~table_row
-  | Paged_tree pt -> Pbt.insert pt v ~table_row
-
-let impl_delete impl v ~table_row =
-  match impl with
-  | Mem tree -> Bptree.delete tree v ~table_row
-  | Paged_tree pt -> Pbt.delete pt v ~table_row
-
 let insert t ~table:name values =
   ensure_open t;
   let tbl = table t name in
   let row = Etable.insert tbl values in
   List.iter
-    (fun (col, impl) ->
+    (fun (col, tree) ->
       let col_id = Schema.col_index (Etable.schema tbl) col in
       let v = List.nth values col_id in
       hist_add t name col v;
-      impl_insert impl v ~table_row:row)
+      Bptree.insert tree v ~table_row:row)
     (indexes_on t name);
   List.iter
     (fun (col, rtree) ->
@@ -466,9 +389,9 @@ let update t ~table:name ~row ~col value =
   | Ok old_value ->
       Etable.update tbl ~row ~col:col_id value;
       (match Hashtbl.find_opt t.indexes (name, col) with
-      | Some impl ->
-          ignore (impl_delete impl old_value ~table_row:row);
-          impl_insert impl value ~table_row:row;
+      | Some tree ->
+          ignore (Bptree.delete tree old_value ~table_row:row);
+          Bptree.insert tree value ~table_row:row;
           hist_remove t name col old_value;
           hist_add t name col value
       | None -> ());
@@ -491,10 +414,10 @@ let delete_row t ~table:name ~row =
   (* collect the indexed values before tombstoning *)
   let rec collect acc = function
     | [] -> Ok (List.rev acc)
-    | (col, impl) :: rest -> (
+    | (col, tree) :: rest -> (
         let col_id = Schema.col_index schema col in
         match Etable.get tbl ~row ~col:col_id with
-        | Ok v -> collect (((col, impl), v) :: acc) rest
+        | Ok v -> collect (((col, tree), v) :: acc) rest
         | Error e -> Error e)
   in
   let collect_range acc =
@@ -513,8 +436,8 @@ let delete_row t ~table:name ~row =
   | Ok entries, Ok range_entries ->
       Etable.delete_row tbl ~row;
       List.iter
-        (fun ((col, impl), v) ->
-          ignore (impl_delete impl v ~table_row:row);
+        (fun ((col, tree), v) ->
+          ignore (Bptree.delete tree v ~table_row:row);
           hist_remove t name col v)
         entries;
       List.iter
@@ -528,24 +451,10 @@ let delete_row t ~table:name ~row =
 
 (* --- paged persistence ---------------------------------------------------- *)
 
-(* Snapshot serialization and the Merkle digest are defined over the
-   in-memory node layout; a paged index is materialised through its own
-   entry codec first (entries come back already sorted). *)
-let mem_tree t (name, col) impl =
-  match impl with
-  | Mem tree -> tree
-  | Paged_tree pt ->
-      let tbl = table t name in
-      let col_id = Schema.col_index (Etable.schema tbl) col in
-      let codec = index_codec t ~table_id:(Etable.id tbl) ~col_id in
-      Bptree.bulk_load ~order:t.order ~id:(Pbt.id pt) ~codec (Pbt.range pt ())
-
 let save_paged t ~path ?(page_size = 4096) ?vfs () =
   ensure_open t;
   let tables = Hashtbl.fold (fun name tbl acc -> (name, tbl) :: acc) t.tables [] in
-  let indexes =
-    Hashtbl.fold (fun key impl acc -> (key, mem_tree t key impl) :: acc) t.indexes []
-  in
+  let indexes = Hashtbl.fold (fun key tree acc -> (key, tree) :: acc) t.indexes [] in
   let be8 = Secdb_util.Xbytes.int_to_be_string ~width:8 in
   let pager = Secdb_storage.Pager.create ~path ~page_size ?vfs () in
   (* page 1, allocated first by construction, points at the directory blob *)
@@ -637,7 +546,7 @@ let load_paged ?(seed = 3L) ?(order = 4) ?(cache_pages = 64) ?vfs ~master ~profi
                     with Secdb_index.Bptree.Integrity _ -> Secdb_query.Histogram.create ()
                   in
                   Hashtbl.replace t.index_hists (name, col) hist;
-                  Hashtbl.add t.indexes (name, col) (Mem tree);
+                  Hashtbl.add t.indexes (name, col) tree;
                   if Secdb_index.Bptree.id tree >= t.next_index_id then
                     t.next_index_id <- Secdb_index.Bptree.id tree + 1;
                   Ok ()
@@ -654,7 +563,7 @@ let digest t =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let indexes =
-    Hashtbl.fold (fun key impl acc -> (key, mem_tree t key impl) :: acc) t.indexes []
+    Hashtbl.fold (fun key tree acc -> (key, tree) :: acc) t.indexes []
     |> List.sort (fun ((a, b), _) ((c, d), _) -> compare (a, b) (c, d))
   in
   let artefact_roots =
@@ -739,16 +648,10 @@ let select_range t ~table:name ~col ?(mode = Walker.Corrected) ?lo ?hi () =
   ensure_open t;
   let tbl = table t name in
   match Hashtbl.find_opt t.indexes (name, col) with
-  | Some (Mem tree) -> (
+  | Some tree -> (
       match Walker.range tree ~mode ?lo ?hi () with
       | Error e -> Error e
       | Ok answer -> fetch_rows tbl (List.map snd answer.Walker.results))
-  | Some (Paged_tree pt) -> (
-      (* whole-node AEAD: there is no unverified walk to choose; [mode]
-         only distinguishes per-entry decode strategies *)
-      match Pbt.range pt ?lo ?hi () with
-      | entries -> fetch_rows tbl (List.map snd entries)
-      | exception Pbt.Integrity e -> Error e)
   | None -> Error (Printf.sprintf "no index on %s.%s" name col)
 
 let select_range_bucketed t ~table:name ~col ?lo ?hi () =
@@ -784,9 +687,7 @@ let save t ~dir =
   ensure_open t;
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let tables = Hashtbl.fold (fun name tbl acc -> (name, tbl) :: acc) t.tables [] in
-  let indexes =
-    Hashtbl.fold (fun key impl acc -> (key, mem_tree t key impl) :: acc) t.indexes []
-  in
+  let indexes = Hashtbl.fold (fun key tree acc -> (key, tree) :: acc) t.indexes [] in
   let manifest =
     Secdb_db.Codec.frame
       (Secdb_storage.Storage.magic :: "manifest" :: profile_name t.profile
@@ -874,7 +775,7 @@ let load ?(seed = 2L) ?(order = 4) ~master ~profile ~dir () =
               with Bptree.Integrity _ -> Secdb_query.Histogram.create ()
             in
             Hashtbl.replace t.index_hists (tbl_name, col) hist;
-            Hashtbl.add t.indexes (tbl_name, col) (Mem tree);
+            Hashtbl.add t.indexes (tbl_name, col) tree;
             if Secdb_index.Bptree.id tree >= t.next_index_id then
               t.next_index_id <- Secdb_index.Bptree.id tree + 1;
             Ok ())

@@ -20,7 +20,13 @@
       cells and index.
 
     All profiles expose the same query API, so the experiments can measure
-    identical workloads across them. *)
+    identical workloads across them.
+
+    Every exact index is an in-memory {!Secdb_index.Bptree}; what reaches
+    disk is sealed where it crosses the storage boundary — the {!Oplog}
+    records and the {!save} / {!save_paged} images.
+    {!Secdb_storage.Paged_bptree} is a standalone structure, not an index
+    backing of this module. *)
 
 type fixed_aead = Eax | Ocb | Ccfb | Etm | Gcm | Siv
 
@@ -44,15 +50,6 @@ val all_profiles : profile list
 
 type t
 
-(** Where index entries live.  [Memory] is the historical heap tree;
-    [Paged] puts every index of this database into one
-    {!Secdb_storage.Paged_bptree} file at [path] — nodes AEAD-sealed with
-    their page address as associated data, an LRU of [cache_nodes]
-    decoded nodes per index, datasets bounded by disk instead of RAM. *)
-type index_backing =
-  | Memory
-  | Paged of { path : string; page_size : int; cache_nodes : int }
-
 (** One applied mutation, as observed through {!set_on_change} — enough
     to replay the database's logical state (the serving layer folds these
     into lock-free read snapshots). *)
@@ -69,7 +66,6 @@ type change =
 val create :
   ?seed:int64 ->
   ?order:int ->
-  ?index_backing:index_backing ->
   ?first_table_id:int ->
   ?first_index_id:int ->
   master:string ->
@@ -78,7 +74,7 @@ val create :
   t
 (** [seed] drives every pseudo-random choice (nonces, the random numbers a)
     for reproducibility; [order] is the B⁺-tree order (default 4).
-    [index_backing] defaults to [Memory].  [first_table_id] /
+    [first_table_id] /
     [first_index_id] start the id counters (defaults 1 and 1000) — shards
     of one logical database use disjoint ranges so derived keys and
     ciphertext addresses never collide across shards. *)
@@ -117,12 +113,12 @@ val create_index : t -> table:string -> col:string -> unit
     existing rows.  Later {!insert}s maintain it. *)
 
 val has_index : t -> table:string -> col:string -> bool
-(** Whether the column has an index under either backing — what the SQL
-    planner consults. *)
+(** Whether the column has an exact index — what the SQL planner
+    consults. *)
 
 val index : t -> table:string -> col:string -> Secdb_index.Bptree.t
-(** The in-memory tree behind a [Memory]-backed index.
-    @raise Not_found if no such index exists or it is paged. *)
+(** The tree behind an exact index.
+    @raise Not_found if no such index exists. *)
 
 val index_selectivity :
   t ->

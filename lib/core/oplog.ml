@@ -140,20 +140,26 @@ let verify_sealed ~aead ~seq sealed =
             | Ok bytes -> decode_op bytes)
       | Ok _ | Error _ -> Error "oplog: sealed record malformed"
 
-(* --- writer ------------------------------------------------------------- *)
+let verify_prefix ~aead ~seq records =
+  let rec go seq acc = function
+    | [] -> (List.rev acc, Ok ())
+    | sealed :: rest -> (
+        match verify_sealed ~aead ~seq sealed with
+        | Ok op -> go (seq + 1) (op :: acc) rest
+        | Error e -> (List.rev acc, Error e))
+  in
+  go seq [] records
 
-type sync_policy = Always | Every_n of int | Never
+(* --- writer ------------------------------------------------------------- *)
 
 type writer = {
   vf : Vfs.file;
   aead : Aead.t;
   nonce : Secdb_aead.Nonce.t;
-  policy : sync_policy;
   mutable seq : int;
   mutable pos : int; (* next record's byte offset *)
   mutable offs : int array; (* offs.(i) = byte offset of record i, for i < seq *)
   mutable durable : int; (* records covered by the last fsync *)
-  mutable unsynced : int; (* appends not yet covered by an fsync *)
   mutable open_ : bool;
 }
 
@@ -205,24 +211,8 @@ let parse ~aead data =
   let ops, tail, _, _ = parse_ext ~aead data in
   (ops, tail)
 
-let create ?(vfs = Vfs.unix) ?(sync = Always) ?(mode = `Trunc) ~path ~aead ~nonce () =
-  (match sync with
-  | Every_n n when n < 1 -> invalid_arg "Oplog.create: Every_n needs n >= 1"
-  | _ -> ());
-  let fresh vf =
-    {
-      vf;
-      aead;
-      nonce;
-      policy = sync;
-      seq = 0;
-      pos = 0;
-      offs = [||];
-      durable = 0;
-      unsynced = 0;
-      open_ = true;
-    }
-  in
+let create ?(vfs = Vfs.unix) ?(mode = `Trunc) ~path ~aead ~nonce () =
+  let fresh vf = { vf; aead; nonce; seq = 0; pos = 0; offs = [||]; durable = 0; open_ = true } in
   match mode with
   | `Trunc -> fresh (vfs.Vfs.open_file ~path ~mode:`Trunc)
   | `Resume -> (
@@ -248,15 +238,10 @@ let create ?(vfs = Vfs.unix) ?(sync = Always) ?(mode = `Trunc) ~path ~aead ~nonc
           w.durable <- w.seq;
           w)
 
-let do_sync w =
+let sync w =
   w.vf.Vfs.fsync ();
-  w.unsynced <- 0;
   w.durable <- w.seq;
   Metrics.incr m_syncs
-
-let sync w =
-  if not w.open_ then invalid_arg "Oplog.sync: writer is closed";
-  if w.unsynced > 0 then do_sync w
 
 let seal w ~seq op =
   let n = w.nonce () in
@@ -268,7 +253,8 @@ let seal w ~seq op =
   len4 ^ record ^ Xbytes.int_to_be_string ~width:4 crc
 
 (* Write [records] (sealed for sequence numbers [w.seq], [w.seq + 1], ...)
-   with one pwrite, then apply the sync policy once. *)
+   with one pwrite and one fsync: an append call returns only once its
+   records are durable. *)
 let write_records w records =
   let start = w.pos in
   (try Vfs.really_pwrite w.vf ~pos:start (String.concat "" records)
@@ -282,13 +268,9 @@ let write_records w records =
     (fun r ->
       w.offs.(w.seq) <- w.pos;
       w.pos <- w.pos + String.length r;
-      w.seq <- w.seq + 1;
-      w.unsynced <- w.unsynced + 1)
+      w.seq <- w.seq + 1)
     records;
-  match w.policy with
-  | Always -> do_sync w
-  | Every_n n -> if w.unsynced >= n then do_sync w
-  | Never -> ()
+  sync w
 
 let append_batch w ops =
   if not w.open_ then invalid_arg "Oplog.append_batch: writer is closed";
@@ -302,14 +284,16 @@ let append_batch w ops =
 
 let append w op = append_batch w [ op ]
 
-let append_sealed w sealed =
+let append_sealed w records =
   if not w.open_ then invalid_arg "Oplog.append_sealed: writer is closed";
-  match verify_sealed ~aead:w.aead ~seq:w.seq sealed with
-  | Error _ as e -> e
-  | Ok op ->
-      Metrics.incr m_appends;
-      write_records w [ sealed ];
-      Ok op
+  (* verify every record at its position before any byte is written *)
+  let ops, verdict = verify_prefix ~aead:w.aead ~seq:w.seq records in
+  let n = List.length ops in
+  if n > 0 then begin
+    Metrics.add m_appends n;
+    write_records w (List.filteri (fun i _ -> i < n) records)
+  end;
+  (ops, verdict)
 
 let count w = w.seq
 let durable w = w.durable
@@ -335,7 +319,7 @@ let read_sealed w ~from ~max =
 
 let close w =
   if w.open_ then begin
-    (try sync w with Vfs.Crashed _ -> ());
+    (try if w.durable < w.seq then sync w with Vfs.Crashed _ -> ());
     w.vf.Vfs.close ();
     w.open_ <- false
   end

@@ -7,13 +7,15 @@
     with the out-of-band record count (keep it with the master key, like
     the {!Encdb.digest} anchor) truncation is caught too.
 
-    Durability is explicit: every byte goes through a {!Secdb_storage.Vfs}
-    backend, each record carries a CRC-32 trailer
-    ([len:4][record][crc:4]), and a {!sync_policy} decides when appends
-    are fsynced.  After a crash, {!recover} authenticates the longest
-    valid prefix and says {e why} the tail ends ({!tail}) instead of
-    rejecting the whole log; {!replay} remains the strict all-or-nothing
-    verifier for adversarial settings.
+    Durability has one rule: acked means fsynced.  Every byte goes through
+    a {!Secdb_storage.Vfs} backend, each record carries a CRC-32 trailer
+    ([len:4][record][crc:4]), and every append call ({!append_batch},
+    {!append}, {!append_sealed}) writes its records with one write and
+    fsyncs once before it returns — a batch's records share that fsync,
+    and none of them is durable before all are.  After a crash,
+    {!recover} authenticates the longest valid prefix and says {e why} the
+    tail ends ({!tail}) instead of rejecting the whole log; {!replay}
+    remains the strict all-or-nothing verifier for adversarial settings.
 
     Replication rides the same sealed records: a primary streams them raw
     with {!read_sealed} and a replica re-verifies and stores them verbatim
@@ -37,28 +39,17 @@ val pp_op : Format.formatter -> op -> unit
 
 (** {2 Writing} *)
 
-type sync_policy =
-  | Always
-      (** fsync at the end of every append call: an acked append survives
-          any crash.  A batch ({!append_batch}) is one call, so its records
-          share one fsync and none of them is durable before all are. *)
-  | Every_n of int
-      (** fsync after the append call that brings the records not yet
-          fsynced to [n] or more: bounded loss window *)
-  | Never  (** fsync only at {!sync}/{!close}: fastest, crash loses the tail *)
-
 type writer
 
 val create :
   ?vfs:Secdb_storage.Vfs.t ->
-  ?sync:sync_policy ->
   ?mode:[ `Trunc | `Resume ] ->
   path:string ->
   aead:Secdb_aead.Aead.t ->
   nonce:Secdb_aead.Nonce.t ->
   unit ->
   writer
-(** Open a log for appending.  [sync] defaults to [Always].
+(** Open a log for appending.
 
     [mode] defaults to [`Trunc]: truncate and start at sequence 0.
     [`Resume] re-opens an existing log (creating it when missing), parses
@@ -74,8 +65,8 @@ val create :
 
 val append_batch : writer -> op list -> int
 (** Seal the operations at consecutive sequence numbers, write them with
-    one write, then apply the writer's {!sync_policy} once; returns the
-    first one's sequence number (the batch takes [first .. first + n - 1]).
+    one write and one fsync; returns the first one's sequence number (the
+    batch takes [first .. first + n - 1]).
     The records are byte-for-byte what as many {!append}s would write.  On
     an I/O error ({!Secdb_storage.Vfs.Io_error}) in the write the log is
     truncated back to the batch's start before the exception propagates,
@@ -87,26 +78,34 @@ val append : writer -> op -> int
 (** [append w op] is [append_batch w [op]]: seal and append one operation,
     returning its sequence number. *)
 
-val append_sealed : writer -> string -> (op, string) result
-(** Append one already-sealed record, verbatim.  The record is verified
-    exactly as {!recover} would — CRC, frame shape, sequence number bound
-    as associated data (it must equal this writer's next sequence), and
-    the AEAD tag — before any byte is written, so a replica's log only
-    ever contains records that authenticate at their position.  Returns
-    the decoded operation so the caller can apply it.  Mixing
-    [append_sealed] with {!append} on one writer is not meaningful: a
-    replica copies, a primary seals. *)
+val append_sealed : writer -> string list -> op list * (unit, string) result
+(** Append already-sealed records, verbatim, at this writer's next
+    sequence numbers.  Every record is verified exactly as {!recover}
+    would — CRC, frame shape, sequence number bound as associated data,
+    and the AEAD tag — before any byte is written, so a replica's log
+    only ever contains records that authenticate at their position.  The
+    longest verified prefix is then written with one write and one fsync
+    (nothing when it is empty), and its decoded operations are returned
+    so the caller can apply them; the second component is [Error] with
+    the first record that failed, [Ok ()] when all verified.  I/O errors
+    behave as in {!append_batch}.  Mixing [append_sealed] with {!append}
+    on one writer is not meaningful: a replica copies, a primary
+    seals. *)
 
 val verify_sealed :
   aead:Secdb_aead.Aead.t -> seq:int -> string -> (op, string) result
-(** The verification half of {!append_sealed} without the write — for
-    consumers that apply shipped records without keeping a local copy. *)
+(** Verify one sealed record at sequence number [seq]. *)
 
-val sync : writer -> unit
-(** Fsync now; after it returns, every acked append survives a crash. *)
+val verify_prefix :
+  aead:Secdb_aead.Aead.t -> seq:int -> string list -> op list * (unit, string) result
+(** The verification half of {!append_sealed} without the write — for
+    consumers that apply shipped records without keeping a local copy:
+    the decoded operations of the longest prefix that verifies at
+    [seq], [seq + 1], ..., and [Error] with the first failure, if any. *)
 
 val count : writer -> int
-(** Appended records, including any not yet fsynced. *)
+(** Appended records, including any written but not fsynced because the
+    fsync failed. *)
 
 val durable : writer -> int
 (** Records covered by the last fsync — the only ones {!read_sealed}
@@ -119,7 +118,7 @@ val read_sealed : writer -> from:int -> max:int -> (int * string) list
     {!append_sealed} on the other end of a replication stream. *)
 
 val close : writer -> unit
-(** Sync, then release the file. *)
+(** Fsync any record not yet durable, then release the file. *)
 
 (** {2 Reading} *)
 

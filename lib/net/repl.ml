@@ -3,6 +3,7 @@ module Nonce = Secdb_aead.Nonce
 module Shard = Secdb_db.Shard
 module Merkle = Secdb_storage.Merkle
 module Oplog = Secdb.Oplog
+module Vfs = Secdb_storage.Vfs
 module Encdb = Secdb.Encdb
 module Keyring = Secdb.Keyring
 
@@ -92,7 +93,9 @@ let restore ?vfs ~path ~aead ~shards ~mkdb ?to_op () =
    and the ack re-synchronises the stream.  Every shipped record is
    re-verified (CRC, frame, seq-as-AD, AEAD tag) before it is stored or
    applied; a record that fails is a divergence and stops the replica
-   rather than letting it apply unauthenticated history. *)
+   rather than letting it apply unauthenticated history.  So does a
+   failure of the replica's own log: a node that can no longer make what
+   it applies durable stops instead of serving a state it cannot keep. *)
 
 type progress = { got : int; primary_durable : int }
 
@@ -100,29 +103,39 @@ let pull_once client ~aead ?writer ~ack ~apply ?(max = 256) () =
   let ( let* ) = Result.bind in
   match Client.call client (Wire.Repl_pull { ack; max }) with
   | Error e -> Error (`Conn (Client.error_to_string e))
-  | Ok (Wire.Repl_records { durable; records }) ->
-      let step acc (seq, sealed) =
-        let* applied = acc in
-        let expected = ack + applied in
-        if seq <> expected then
-          Error (`Fatal (Printf.sprintf "repl: expected record %d, got %d" expected seq))
-        else
-          let verified =
-            match writer with
-            | Some w -> Oplog.append_sealed w sealed
-            | None -> Oplog.verify_sealed ~aead ~seq sealed
-          in
-          match verified with
-          | Error e -> Error (`Fatal e)
-          | Ok op -> (
-              match apply op with
-              | Ok () -> Ok (applied + 1)
-              | Error e -> Error (`Fatal (Printf.sprintf "repl: apply of op %d failed: %s" seq e)))
+  | Ok (Wire.Repl_records { durable; records }) -> (
+      (* the prefix of records that sit at ack, ack + 1, ... *)
+      let rec in_order seq = function
+        | (s, sealed) :: rest when s = seq ->
+            let prefix, verdict = in_order (seq + 1) rest in
+            (sealed :: prefix, verdict)
+        | (s, _) :: _ -> ([], Error (Printf.sprintf "repl: expected record %d, got %d" seq s))
+        | [] -> ([], Ok ())
       in
-      let* got = List.fold_left step (Ok 0) records in
-      (* make the batch durable before the next ack can claim it *)
-      (match writer with Some w -> Oplog.sync w | None -> ());
-      Ok { got; primary_durable = durable }
+      let sealed, ordered = in_order ack records in
+      (* verify each record at its position; a local log takes the
+         verified prefix with one write and one fsync, before any of it is
+         applied, so the next ack only ever claims durable records *)
+      match
+        match writer with
+        | Some w -> Oplog.append_sealed w sealed
+        | None -> Oplog.verify_prefix ~aead ~seq:ack sealed
+      with
+      | exception Vfs.Io_error { op; path; reason } ->
+          Error (`Fatal (Printf.sprintf "repl: local oplog failed: %s %s: %s" op path reason))
+      | exception Vfs.Crashed path -> Error (`Fatal ("repl: local oplog failed: crash on " ^ path))
+      | ops, verified ->
+          let rec apply_all seq = function
+            | [] -> Ok (seq - ack)
+            | op :: rest -> (
+                match apply op with
+                | Ok () -> apply_all (seq + 1) rest
+                | Error e ->
+                    Error (`Fatal (Printf.sprintf "repl: apply of op %d failed: %s" seq e)))
+          in
+          let* got = apply_all ack ops in
+          let* () = Result.map_error (fun e -> `Fatal e) (Result.bind verified (fun () -> ordered)) in
+          Ok { got; primary_durable = durable })
   | Ok _ -> Error (`Fatal "repl: unexpected response to a pull")
 
 let run_replica ~connect ~aead ?writer ~ack ~apply ?(max = 256) ?(poll = 0.05) ~stop () =

@@ -81,12 +81,14 @@ val pull_once :
   unit ->
   (progress, [ `Conn of string | `Fatal of string ]) result
 (** One pull round: request up to [max] records after [ack], verify each
-    at its sequence position, store it via [writer] (when keeping a local
-    log copy) and apply it.  [`Conn] means the transport died — reconnect
-    and retry; [`Fatal] means verification or apply failed — the replica
-    must stop rather than serve unauthenticated state.  The local log is
-    fsynced before returning, so the next ack only ever claims durable
-    records. *)
+    at its sequence position, store the verified records via [writer]
+    (when keeping a local log copy) with one {!Secdb.Oplog.append_sealed}
+    — one write, one fsync — and only then apply them, so the next ack
+    only ever claims durable records.  [`Conn] means the transport died —
+    reconnect and retry; [`Fatal] means verification, apply or the local
+    log failed — the replica must stop rather than serve unauthenticated
+    or undurable state.  No exception escapes for a local log I/O error
+    ({!Secdb_storage.Vfs.Io_error}, {!Secdb_storage.Vfs.Crashed}). *)
 
 val run_replica :
   connect:(unit -> (Client.t, string) result) ->
@@ -102,5 +104,5 @@ val run_replica :
 (** The replica's catch-up loop: connect, pull until caught up, poll
     every [poll] seconds (default 0.05), reconnect with capped backoff
     whenever the primary goes away, and keep going until [stop] turns
-    true ([Ok ()]) or a record fails verification or apply
-    ([Error] — divergence, never papered over). *)
+    true ([Ok ()]) or a record fails verification or apply, or the local
+    log fails ([Error] — divergence, never papered over). *)

@@ -14,18 +14,17 @@ type config = {
   max_frame : int;
   max_inflight : int;
   read_timeout : float;
-  write_timeout : float;
   shards : int;
 }
 
 let config ?(max_frame = Wire.default_max_frame) ?(max_inflight = 64) ?(read_timeout = 30.)
-    ?(write_timeout = 30.) ?shards ~auth_key () =
+    ?shards ~auth_key () =
   let shards = match shards with Some n -> n | None -> Pool.recommended () in
   if String.length auth_key < 16 then invalid_arg "Server.config: auth key shorter than 16 bytes";
   if max_frame < 64 then invalid_arg "Server.config: max_frame too small for a handshake";
   if max_inflight < 1 then invalid_arg "Server.config: max_inflight must be positive";
   if shards < 1 then invalid_arg "Server.config: shards must be positive";
-  { auth_key; max_frame; max_inflight; read_timeout; write_timeout; shards }
+  { auth_key; max_frame; max_inflight; read_timeout; shards }
 
 (* Registered per server (not at module load) so a process that never
    serves — `secdb stats`, say — keeps its metric registry unchanged. *)
@@ -672,9 +671,12 @@ let apply_op t op =
 
 let observe_in t frame = Metrics.add t.m.m_bytes_in (Wire.frame_size frame)
 
+(* seconds a single frame write may take before the peer counts as gone *)
+let write_timeout = 30.
+
 let send ?stop t fd frame =
   Metrics.add t.m.m_bytes_out (Wire.frame_size frame);
-  Wire.write_frame ?stop ~timeout:t.cfg.write_timeout fd frame
+  Wire.write_frame ?stop ~timeout:write_timeout fd frame
 
 (* Challenge–response over the fresh connection.  Returns the per-session
    request-MAC key; the master key plays no part here — both sides work
@@ -774,7 +776,7 @@ let serve_conn t fd =
                 let stop () = Atomic.get dead in
                 let reply id result =
                   Metrics.add t.m.m_bytes_out (Wire.encode_reply out ~id result);
-                  Wire.send_reply ~stop ~timeout:t.cfg.write_timeout out fd
+                  Wire.send_reply ~stop ~timeout:write_timeout out fd
                 in
                 let rec drain () =
                   match Bqueue.pop queue with

@@ -47,7 +47,6 @@ type config = {
   max_frame : int;  (** largest accepted frame ({!Wire.default_max_frame}) *)
   max_inflight : int;  (** per-connection response-queue bound (default 64) *)
   read_timeout : float;  (** seconds a connection may sit idle (default 30) *)
-  write_timeout : float;  (** seconds a single frame write may take (default 30) *)
   shards : int;  (** data-plane shard count (default {!Secdb_util.Pool.recommended}) *)
 }
 
@@ -55,7 +54,6 @@ val config :
   ?max_frame:int ->
   ?max_inflight:int ->
   ?read_timeout:float ->
-  ?write_timeout:float ->
   ?shards:int ->
   auth_key:string ->
   unit ->

@@ -60,17 +60,12 @@ let split_qual c =
 
 (* --- candidate access paths ----------------------------------------------- *)
 
-(* a paged index answers has_index but hides its in-memory tree *)
-let index_is_paged db ~table ~col =
-  Encdb.has_index db ~table ~col
-  && (match Encdb.index db ~table ~col with _ -> false | exception Not_found -> true)
-
 let table_ncols db table = Schema.ncols (Etable.schema (Encdb.table db table))
 
 (* every access path for one table, with its cost.  [col_of] maps a WHERE
    column reference to this table's base column name ([None] if the
    reference belongs to another table). *)
-let access_candidates db inputs ~table ~col_of where =
+let access_candidates db ~table ~col_of where =
   let rows = Encdb.live_rows db ~table in
   let ncols = table_ncols db table in
   let seq = (Plan.Seq_scan, Cost.seq_scan ~rows ~ncols) in
@@ -86,9 +81,8 @@ let access_candidates db inputs ~table ~col_of where =
         |> List.map (fun (c, (lo, hi)) ->
                let b = Option.get (col_of c) in
                let estimate = estimate_of b lo hi in
-               let paged = index_is_paged db ~table ~col:b in
                ( Plan.Index_probe { col = b; lo; hi; estimate },
-                 Cost.index_probe inputs ~rows ~ncols ~estimate ~paged ))
+                 Cost.index_probe ~rows ~ncols ~estimate ))
       in
       let range =
         collect_bounds ~eligible:(eligible (Encdb.has_range_index db)) w
@@ -109,11 +103,10 @@ let access_candidates db inputs ~table ~col_of where =
    unqualified for single-table selects); [join] carries the resolved
    (outer table, outer col, inner table, inner col) of the ON clause. *)
 let candidates db (s : Ast.select) ~join =
-  let inputs = Cost.live () in
   let plans =
     match join with
     | None ->
-        access_candidates db inputs ~table:s.Ast.table ~col_of:Option.some s.Ast.where
+        access_candidates db ~table:s.Ast.table ~col_of:Option.some s.Ast.where
         |> List.map (fun (access, cost) -> Plan.Scan { table = s.Ast.table; access; cost })
     | Some (t1, c1, t2, c2) ->
         [ (t1, c1, t2, c2, false); (t2, c2, t1, c1, true) ]
@@ -124,7 +117,7 @@ let candidates db (s : Ast.select) ~join =
                let orows = Encdb.live_rows db ~table:ot in
                let inner_rows = Encdb.live_rows db ~table:it in
                let inner_ncols = table_ncols db it in
-               access_candidates db inputs ~table:ot ~col_of s.Ast.where
+               access_candidates db ~table:ot ~col_of s.Ast.where
                |> List.concat_map (fun (access, outer_cost) ->
                       let outer_out = Plan.access_estimate access *. float_of_int orows in
                       let mk strategy cost =
@@ -148,9 +141,8 @@ let candidates db (s : Ast.select) ~join =
                         [
                           loop;
                           mk Plan.Index_loop_join
-                            (Cost.index_loop_join inputs ~outer_cost ~outer_out ~inner_rows
-                               ~inner_ncols
-                               ~paged:(index_is_paged db ~table:it ~col:ic));
+                            (Cost.index_loop_join ~outer_cost ~outer_out ~inner_rows
+                               ~inner_ncols);
                         ]
                       else [ loop ]))
   in

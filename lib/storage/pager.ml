@@ -7,9 +7,8 @@ module Metrics = Secdb_obs.Metrics
 let m_cache_hits = Metrics.counter "pager.cache_hits"
 let m_cache_misses = Metrics.counter "pager.cache_misses"
 
-(* derived gauge: hits as a percentage of all lookups, process-wide — a
-   first-class cost-model input for the SQL planner (paged index probes
-   get cheaper as this rises), refreshed on every cached lookup *)
+(* derived gauge: hits as a percentage of all lookups, process-wide,
+   refreshed on every cached lookup *)
 let g_hit_rate = Metrics.gauge "pager.hit_rate"
 
 let publish_hit_rate () =

@@ -1,7 +1,7 @@
 (* Crash matrix: every write of a workload is a crash point.  The fault
    VFS freezes the durable image there; reopening it must recover exactly
-   the synced prefix (oplog) and fsck must terminate with a report
-   (pager), for every point and every sync policy. *)
+   the acked prefix (oplog) and fsck must terminate with a report
+   (pager), for every point. *)
 
 open Secdb
 module Value = Secdb_db.Value
@@ -27,25 +27,15 @@ let sample_ops n =
 
 let log_path = "mem:crash.log"
 
-(* how many records the crash model promises to keep, given how many
-   appends were acked before the crash *)
-let promised policy ~acked ~crashed =
-  if not crashed then acked (* close syncs *)
-  else
-    match policy with
-    | Oplog.Always -> acked
-    | Oplog.Every_n n -> acked / n * n
-    | Oplog.Never -> 0
-
 (* run [ops] against a disk that crashes at pwrite [k]; returns
    (acked, crashed, durable image) *)
-let crash_run ~policy ~seed ~k ops =
+let crash_run ~seed ~k ops =
   let ctl = Vfs.Fault.make ~seed () in
   Vfs.Fault.crash_after_writes ctl k;
   let vfs = Vfs.Fault.vfs ctl in
   let acked = ref 0 in
   (try
-     let w = Oplog.create ~vfs ~sync:policy ~path:log_path ~aead ~nonce:(nonce ()) () in
+     let w = Oplog.create ~vfs ~path:log_path ~aead ~nonce:(nonce ()) () in
      List.iter
        (fun op ->
          ignore (Oplog.append w op);
@@ -55,34 +45,35 @@ let crash_run ~policy ~seed ~k ops =
    with Vfs.Crashed _ -> ());
   (!acked, Vfs.Fault.crashed ctl, Vfs.Fault.dump ctl ~path:log_path)
 
-(* reopen the frozen image and check the recovered prefix against the model *)
-let check_point ~policy ~seed ~k ops =
-  let acked, crashed, image = crash_run ~policy ~seed ~k ops in
-  let want = promised policy ~acked ~crashed in
+(* reopen the frozen image and check the recovered prefix against the
+   model: every acked append fsynced before its ack, so exactly the acked
+   records survive *)
+let check_point ~seed ~k ops =
+  let acked, crashed, image = crash_run ~seed ~k ops in
   let path = tmp "image.log" in
   write_file path image;
   match Oplog.recover ~path ~aead () with
   | Error e -> Error (Printf.sprintf "k=%d: image unreadable: %s" k e)
   | Ok (recovered, tail) ->
-      if List.length recovered <> want then
+      if List.length recovered <> acked then
         Error
           (Printf.sprintf "k=%d: recovered %d records, model promises %d (tail: %s)" k
-             (List.length recovered) want (Oplog.tail_to_string tail))
+             (List.length recovered) acked (Oplog.tail_to_string tail))
       else if
         not
           (List.for_all2
              (fun (seq, got) (seq', expect) -> seq = seq' && got = expect)
              recovered
-             (List.filteri (fun i _ -> i < want) (List.mapi (fun i op -> (i, op)) ops)))
+             (List.filteri (fun i _ -> i < acked) (List.mapi (fun i op -> (i, op)) ops)))
       then Error (Printf.sprintf "k=%d: recovered records differ from the workload prefix" k)
       else Ok crashed
 
-let run_matrix policy =
+let test_matrix_always () =
   let ops = sample_ops 9 in
   let rec loop k =
     if k > 200 then Alcotest.fail "crash never stopped firing"
     else
-      match check_point ~policy ~seed:(7000 + k) ~k ops with
+      match check_point ~seed:(7000 + k) ~k ops with
       | Error msg -> Alcotest.fail msg
       | Ok true -> loop (k + 1)
       | Ok false -> k (* first point past the workload: every write survived *)
@@ -90,15 +81,11 @@ let run_matrix policy =
   let total = loop 1 in
   Alcotest.(check bool) "matrix covered the workload" true (total > List.length ops / 2)
 
-let test_matrix_always () = run_matrix Oplog.Always
-let test_matrix_every_n () = run_matrix (Oplog.Every_n 3)
-let test_matrix_never () = run_matrix Oplog.Never
-
 let test_acked_never_lost_under_always () =
   (* the headline durability claim, checked point by point *)
   let ops = sample_ops 7 in
   for k = 1 to 7 do
-    let acked, crashed, image = crash_run ~policy:Oplog.Always ~seed:(900 + k) ~k ops in
+    let acked, crashed, image = crash_run ~seed:(900 + k) ~k ops in
     Alcotest.(check bool) "crash fired" true crashed;
     let path = tmp "always.log" in
     write_file path image;
@@ -265,13 +252,9 @@ let qc = Test_seed.qc
 
 let prop_recover_matches_model =
   QCheck2.Test.make ~name:"crash point recovery matches the synced model" ~count:60
-    QCheck2.Gen.(
-      tup4 (int_range 1 40) (int_range 0 2) (int_range 1 12) (int_range 0 9999))
-    (fun (k, pol, nops, seed) ->
-      let policy =
-        match pol with 0 -> Oplog.Always | 1 -> Oplog.Every_n 3 | _ -> Oplog.Never
-      in
-      match check_point ~policy ~seed ~k (sample_ops nops) with
+    QCheck2.Gen.(tup3 (int_range 1 40) (int_range 1 12) (int_range 0 9999))
+    (fun (k, nops, seed) ->
+      match check_point ~seed ~k (sample_ops nops) with
       | Ok _ -> true
       | Error msg -> QCheck2.Test.fail_report msg)
 
@@ -341,8 +324,6 @@ let suites =
     ( "storage:crash",
       [
         Alcotest.test_case "oplog matrix, sync=Always" `Quick test_matrix_always;
-        Alcotest.test_case "oplog matrix, sync=Every_n 3" `Quick test_matrix_every_n;
-        Alcotest.test_case "oplog matrix, sync=Never" `Quick test_matrix_never;
         Alcotest.test_case "Always never loses an acked append" `Quick
           test_acked_never_lost_under_always;
         Alcotest.test_case "ENOSPC leaves a record boundary" `Quick

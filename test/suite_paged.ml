@@ -224,7 +224,7 @@ let crash_point ~k =
   let vfs = Vfs.Fault.vfs ctl in
   let acked = ref 0 in
   (try
-     let w = Oplog.create ~vfs ~sync:Oplog.Always ~path:log_path ~aead ~nonce:(nonce ()) () in
+     let w = Oplog.create ~vfs ~path:log_path ~aead ~nonce:(nonce ()) () in
      let p = Pager.create ~path:db_path ~page_size:512 ~cache_pages:4 ~vfs () in
      let t = Pbt.create ~pager:p ~seal:(seal ~tree_id:5) ~cache_nodes:8 ~id:5 () in
      List.iteri

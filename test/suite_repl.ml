@@ -92,12 +92,9 @@ let test_ship_verify_copy () =
     records;
   (* a replica copying them verbatim produces a byte-identical log *)
   let r = Oplog.create ~path:rpath ~aead ~nonce:(nonce ()) () in
-  List.iter
-    (fun (seq, sealed) ->
-      match Oplog.append_sealed r sealed with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "copy of %d rejected: %s" seq e)
-    records;
+  (match Oplog.append_sealed r (List.map snd records) with
+  | ops, Ok () -> Alcotest.(check int) "every record copied" (List.length records) (List.length ops)
+  | _, Error e -> Alcotest.failf "copy rejected: %s" e);
   Oplog.close w;
   Oplog.close r;
   let read p = In_channel.with_open_bin p In_channel.input_all in
@@ -122,21 +119,35 @@ let test_ship_rejects_tamper_and_splice () =
   | Error _ -> ());
   (* a replica writer enforces contiguity: next must be its own count *)
   let r = Oplog.create ~path:(Filename.concat dir "r.log") ~aead ~nonce:(nonce ()) () in
-  (match Oplog.append_sealed r r1 with
-  | Ok _ -> Alcotest.failf "gap accepted (record %d as first)" seq1
-  | Error _ -> ());
+  (match Oplog.append_sealed r [ r1 ] with
+  | _, Ok () -> Alcotest.failf "gap accepted (record %d as first)" seq1
+  | ops, Error _ -> Alcotest.(check int) "no record verified" 0 (List.length ops));
   Alcotest.(check int) "nothing was written" 0 (Oplog.count r);
+  (* a batch keeps exactly its verified prefix *)
+  (match Oplog.append_sealed r [ r0; Bytes.to_string flipped; r1 ] with
+  | _, Ok () -> Alcotest.fail "tampered batch accepted"
+  | ops, Error _ -> Alcotest.(check int) "prefix verified" 1 (List.length ops));
+  Alcotest.(check int) "the verified prefix was written" 1 (Oplog.count r);
   Oplog.close w;
   Oplog.close r
 
+(* records not covered by a successful fsync never ship: the fault disk
+   fails the fsync of one more append, leaving its record written but
+   unacked *)
 let test_durable_only_ships () =
-  with_dir @@ fun dir ->
-  let w = Oplog.create ~sync:Oplog.Never ~path:(Filename.concat dir "p.log") ~aead ~nonce:(nonce ()) () in
-  List.iter (fun op -> ignore (Oplog.append w op)) (sample_ops 3);
-  Alcotest.(check int) "unsynced records do not ship" 0
+  let ctl = Fault.make ~seed:17 () in
+  let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
+  let ops = sample_ops 3 in
+  List.iter (fun op -> ignore (Oplog.append w op)) ops;
+  let synced = Oplog.count w in
+  Alcotest.(check int) "synced records ship" synced
     (List.length (Oplog.read_sealed w ~from:0 ~max:1000));
-  Oplog.sync w;
-  Alcotest.(check int) "synced records ship" (Oplog.count w)
+  Fault.fail_op ctl ~op:`Fsync ~after:1 ~err:`EIO;
+  (match Oplog.append w (List.hd ops) with
+  | _ -> Alcotest.fail "append acked without an fsync"
+  | exception Vfs.Io_error _ -> ());
+  Alcotest.(check int) "the record was written" (synced + 1) (Oplog.count w);
+  Alcotest.(check int) "the unsynced record does not ship" synced
     (List.length (Oplog.read_sealed w ~from:0 ~max:1000));
   Oplog.close w
 
@@ -475,7 +486,7 @@ let test_root_consistent_under_load ~shards () =
   let rows = 48 / shards in
   let path = Filename.concat dir "primary.log" in
   (* primary: SQL over the wire, logged with fsync on every append *)
-  let w = Oplog.create ~sync:Oplog.Always ~path ~aead ~nonce:(nonce ()) () in
+  let w = Oplog.create ~path ~aead ~nonce:(nonce ()) () in
   let primary = serve ~role:(Server.Primary w) "p.sock" in
   let samples =
     attest_under_load (Server.addr primary) ~mutate:(fun () ->
@@ -525,14 +536,10 @@ let ship_all w r =
   let rec go () =
     match Oplog.read_sealed w ~from:(Oplog.count r) ~max:64 with
     | [] -> ()
-    | records ->
-        List.iter
-          (fun (seq, sealed) ->
-            match Oplog.append_sealed r sealed with
-            | Ok _ -> ()
-            | Error e -> Alcotest.failf "ship of %d: %s" seq e)
-          records;
-        go ()
+    | records -> (
+        match Oplog.append_sealed r (List.map snd records) with
+        | _, Ok () -> go ()
+        | _, Error e -> Alcotest.failf "ship from %d: %s" (fst (List.hd records)) e)
   in
   go ()
 
@@ -544,22 +551,18 @@ let is_string_prefix ~of_:s p =
    image, crashed).  The replica log is a verbatim copy, so "replica is
    an authenticated prefix of the primary" is literally a byte-prefix
    check on the two durable images. *)
-let primary_crash_run ~policy ~seed ~k ops =
+let primary_crash_run ~seed ~k ops =
   let ctl = Fault.make ~seed () in
   Fault.crash_after_writes ctl k;
   let rctl = Fault.make ~seed:(seed + 1) () in
   let r = Oplog.create ~vfs:(Fault.vfs rctl) ~path:"mem:r.log" ~aead ~nonce:(nonce ()) () in
   (try
-     let w =
-       Oplog.create ~vfs:(Fault.vfs ctl) ~sync:policy ~path:"mem:p.log" ~aead ~nonce:(nonce ()) ()
-     in
+     let w = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:p.log" ~aead ~nonce:(nonce ()) () in
      List.iter
        (fun op ->
          ignore (Oplog.append w op);
          ship_all w r)
        ops;
-     Oplog.sync w;
-     ship_all w r;
      Oplog.close w
    with Vfs.Crashed _ | Vfs.Io_error _ -> ());
   (try Oplog.close r with Vfs.Crashed _ | Vfs.Io_error _ -> ());
@@ -568,33 +571,30 @@ let primary_crash_run ~policy ~seed ~k ops =
 
 let test_crash_matrix_primary () =
   let ops = sample_ops 8 in
-  List.iter
-    (fun policy ->
-      let k = ref 1 and live = ref true in
-      while !live do
-        let pimg, rimg, crashed = primary_crash_run ~policy ~seed:(1100 + !k) ~k:!k ops in
-        if not crashed then live := false
-        else begin
-          if not (is_string_prefix ~of_:pimg rimg) then
-            Alcotest.failf "crash at write %d: replica is not a byte-prefix of the primary" !k;
-          (* the surviving primary image must itself recover, and a resumed
-             writer must seat exactly the recovered history *)
-          with_dir (fun dir ->
-              let path = Filename.concat dir "p.log" in
-              Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pimg);
-              match Oplog.recover ~path ~aead () with
-              | Error e -> Alcotest.failf "crash at write %d: recover: %s" !k e
-              | Ok (recovered, _) ->
-                  let rng = Rng.create ~seed:(Int64.of_int !k) () in
-                  let w = Oplog.create ~mode:`Resume ~path ~aead ~nonce:(Repl.log_nonce ~rng) () in
-                  Alcotest.(check int)
-                    (Printf.sprintf "crash at write %d: resume count" !k)
-                    (List.length recovered) (Oplog.count w);
-                  Oplog.close w)
-        end;
-        incr k
-      done)
-    [ Oplog.Always; Oplog.Every_n 3 ]
+  let k = ref 1 and live = ref true in
+  while !live do
+    let pimg, rimg, crashed = primary_crash_run ~seed:(1100 + !k) ~k:!k ops in
+    if not crashed then live := false
+    else begin
+      if not (is_string_prefix ~of_:pimg rimg) then
+        Alcotest.failf "crash at write %d: replica is not a byte-prefix of the primary" !k;
+      (* the surviving primary image must itself recover, and a resumed
+         writer must seat exactly the recovered history *)
+      with_dir (fun dir ->
+          let path = Filename.concat dir "p.log" in
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc pimg);
+          match Oplog.recover ~path ~aead () with
+          | Error e -> Alcotest.failf "crash at write %d: recover: %s" !k e
+          | Ok (recovered, _) ->
+              let rng = Rng.create ~seed:(Int64.of_int !k) () in
+              let w = Oplog.create ~mode:`Resume ~path ~aead ~nonce:(Repl.log_nonce ~rng) () in
+              Alcotest.(check int)
+                (Printf.sprintf "crash at write %d: resume count" !k)
+                (List.length recovered) (Oplog.count w);
+              Oplog.close w)
+    end;
+    incr k
+  done
 
 let test_crash_matrix_replica () =
   with_dir @@ fun dir ->
@@ -614,9 +614,9 @@ let test_crash_matrix_replica () =
        let r = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:r.log" ~aead ~nonce:(nonce ()) () in
        List.iter
          (fun (seq, sealed) ->
-           match Oplog.append_sealed r sealed with
-           | Ok _ -> copied := seq + 1
-           | Error e -> Alcotest.failf "copy of %d: %s" seq e)
+           match Oplog.append_sealed r [ sealed ] with
+           | _, Ok () -> copied := seq + 1
+           | _, Error e -> Alcotest.failf "copy of %d: %s" seq e)
          records;
        Oplog.close r
      with Vfs.Crashed _ | Vfs.Io_error _ -> ());
@@ -629,13 +629,14 @@ let test_crash_matrix_replica () =
           Out_channel.output_string oc (try Fault.dump ctl ~path:"mem:r.log" with Vfs.Io_error _ -> ""));
       let rng = Rng.create ~seed:(Int64.of_int (77 + !k)) () in
       let r = Oplog.create ~mode:`Resume ~path:rpath ~aead ~nonce:(Repl.log_nonce ~rng) () in
-      List.iter
-        (fun (seq, sealed) ->
-          if seq >= Oplog.count r then
-            match Oplog.append_sealed r sealed with
-            | Ok _ -> ()
-            | Error e -> Alcotest.failf "crash at write %d: catch-up of %d: %s" !k seq e)
-        records;
+      (match
+         Oplog.append_sealed r
+           (List.filter_map
+              (fun (seq, sealed) -> if seq >= Oplog.count r then Some sealed else None)
+              records)
+       with
+      | _, Ok () -> ()
+      | _, Error e -> Alcotest.failf "crash at write %d: catch-up: %s" !k e);
       Oplog.close r;
       let rbytes = In_channel.with_open_bin rpath In_channel.input_all in
       if not (String.equal pbytes rbytes) then
@@ -851,6 +852,92 @@ let test_crash_matrix_group_commit () =
       Alcotest.(check int) (what ^ ": recovered") acked (recovered ~what img))
     batches
 
+(* --- the replica's own log -------------------------------------------------- *)
+
+(* A primary with [rows] inserts logged, each acked one by one. *)
+let with_logged_primary ~rows f =
+  with_dir @@ fun dir ->
+  let w = Oplog.create ~path:(Filename.concat dir "p.log") ~aead ~nonce:(nonce ()) () in
+  let sock = Wire.Unix_sock (Filename.concat dir "p.sock") in
+  let srv =
+    match
+      Server.create ~seed:7L ~role:(Server.Primary w) ~config:(Server.config ~auth_key ~shards ())
+        ~db:(fun shard -> mkdb ~shard ())
+        sock
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "primary: %s" e
+  in
+  Server.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop srv;
+      Oplog.close w)
+    (fun () ->
+      let c = connect sock in
+      ignore (sql c "CREATE TABLE t (id INT, v TEXT)");
+      for i = 1 to rows do
+        ignore (sql c (Printf.sprintf "INSERT INTO t VALUES (%d, 'v%d')" i i))
+      done;
+      Client.close c;
+      f sock (Oplog.count w))
+
+(* One pull is one append call on the replica's log: one write, one
+   fsync, however many records it carries. *)
+let test_replica_syncs_once_per_pull () =
+  with_logged_primary ~rows:20 @@ fun sock total ->
+  let ctl = Fault.make ~seed:41 () in
+  let r = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:r.log" ~aead ~nonce:(nonce ()) () in
+  let dbs = Array.init shards (fun shard -> mkdb ~shard ()) in
+  let c = connect sock in
+  let rec pull nonempty =
+    match
+      Repl.pull_once c ~aead ~writer:r ~ack:(Oplog.count r) ~apply:(Repl.apply_routed dbs) ~max:6
+        ()
+    with
+    | Ok { Repl.got = 0; _ } -> nonempty
+    | Ok _ -> pull (nonempty + 1)
+    | Error (`Conn e | `Fatal e) -> Alcotest.failf "pull: %s" e
+  in
+  let pulls = pull 0 in
+  Client.close c;
+  Alcotest.(check int) "the replica holds the whole log" total (Oplog.count r);
+  Alcotest.(check int) "one write per non-empty pull" pulls (Fault.write_count ctl);
+  Alcotest.(check bool) "fewer writes than records" true (pulls < total);
+  Oplog.close r
+
+(* A replica whose own log fails stops with [Error]: it applies nothing
+   it could not make durable, and no exception escapes the pull loop. *)
+let test_replica_log_failure_stops () =
+  with_logged_primary ~rows:5 @@ fun sock _ ->
+  List.iter
+    (fun (what, op) ->
+      let ctl = Fault.make ~seed:43 () in
+      Fault.fail_op ctl ~op ~after:1 ~err:`EIO;
+      let r = Oplog.create ~vfs:(Fault.vfs ctl) ~path:"mem:r.log" ~aead ~nonce:(nonce ()) () in
+      let dbs = Array.init shards (fun shard -> mkdb ~shard ()) in
+      let applied = ref 0 in
+      let deadline = Unix.gettimeofday () +. 10. in
+      (match
+         Repl.run_replica
+           ~connect:(fun () -> Client.connect ~attempts:1 ~backoff:0.01 ~seed ~auth_key sock)
+           ~aead ~writer:r
+           ~ack:(fun () -> Oplog.count r)
+           ~apply:(fun op ->
+             incr applied;
+             Repl.apply_routed dbs op)
+           ~poll:0.01
+           ~stop:(fun () -> Unix.gettimeofday () > deadline)
+           ()
+       with
+      | Error e ->
+          Alcotest.(check bool) (what ^ ": error names the local log") true
+            (contains ~affix:"local oplog" e)
+      | Ok () -> Alcotest.failf "%s failure: replication kept going" what);
+      Alcotest.(check int) (what ^ ": nothing applied") 0 !applied;
+      try Oplog.close r with Vfs.Io_error _ -> ())
+    [ ("pwrite", `Pwrite); ("fsync", `Fsync) ]
+
 (* --- properties ----------------------------------------------------------- *)
 
 let qc = Test_seed.qc
@@ -858,11 +945,9 @@ let qc = Test_seed.qc
 let prop_replica_prefix =
   QCheck2.Test.make ~name:"replica is a byte-prefix of the primary under any fault schedule"
     ~count:60
-    QCheck2.Gen.(
-      quad (int_range 1 15) (int_range 1 90) (int_range 0 2) (int_range 0 1000))
-    (fun (nops, k, pol, seed) ->
-      let policy = [| Oplog.Always; Oplog.Every_n 2; Oplog.Never |].(pol) in
-      let pimg, rimg, _ = primary_crash_run ~policy ~seed ~k (sample_ops nops) in
+    QCheck2.Gen.(triple (int_range 1 15) (int_range 1 90) (int_range 0 1000))
+    (fun (nops, k, seed) ->
+      let pimg, rimg, _ = primary_crash_run ~seed ~k (sample_ops nops) in
       is_string_prefix ~of_:pimg rimg)
 
 let prop_restore_equiv =
@@ -1019,6 +1104,9 @@ let suites =
         Alcotest.test_case "oplog failure fails closed" `Quick test_oplog_failure_fails_closed;
         Alcotest.test_case "group commit fails closed" `Quick test_group_commit_fails_closed;
         Alcotest.test_case "group commit crash matrix" `Quick test_crash_matrix_group_commit;
+        Alcotest.test_case "replica fsyncs once per pull" `Quick test_replica_syncs_once_per_pull;
+        Alcotest.test_case "replica log failure stops replication" `Quick
+          test_replica_log_failure_stops;
       ] );
     ("repl:props", [ qc prop_replica_prefix; qc prop_restore_equiv ]);
     ( "repl:client",

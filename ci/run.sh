@@ -36,8 +36,8 @@ dune exec bench/perf.exe -- --fast --check
 step "leakage bounds (range index attack bench, fixed seeds)"
 dune build @leakage
 
-step "crash-safety matrix (explicit rerun of the durability suites)"
-dune exec -- test/test_main.exe test 'storage:crash|storage:fsck|storage:paged|repl:crash'
+step "crash-safety matrix (oplog and pager crash matrices, fsck, replication crash)"
+dune exec -- test/test_main.exe test 'storage:crash|storage:fsck|repl:crash'
 
 step "serve smoke (networked client/server end to end)"
 ci/serve_smoke.sh

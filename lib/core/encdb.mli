@@ -24,9 +24,7 @@
 
     Every exact index is an in-memory {!Secdb_index.Bptree}; what reaches
     disk is sealed where it crosses the storage boundary — the {!Oplog}
-    records and the {!save} / {!save_paged} images.
-    {!Secdb_storage.Paged_bptree} is a standalone structure, not an index
-    backing of this module. *)
+    records and the {!save} / {!save_paged} images. *)
 
 type fixed_aead = Eax | Ocb | Ccfb | Etm | Gcm | Siv
 

@@ -18,8 +18,8 @@
     bucket) through the sealer — with the AEAD sealer built by
     [Encdb.create_range_index] the triple travels as associated data, so
     replaying an entry into another bucket (shifting its apparent rank) or
-    grafting it into another tree fails authentication, the same per-node
-    discipline as {!Secdb_storage.Paged_bptree} (paper §4). *)
+    grafting it into another tree fails authentication, the same address
+    binding as [Encdb]'s per-cell AEAD seal (paper §4). *)
 
 (** Pluggable payload protection, mirroring {!Bptree.codec}: the tree never
     sees key material.  [seal]/[unseal] receive the entry's sequence number

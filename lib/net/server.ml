@@ -378,12 +378,12 @@ let commit t sh batch =
 
 (* Group commit.  The executor takes every job queued on its shard at once
    and runs them in queue order.  Mutations run back to back and leave
-   their replies open; [commit] then logs the whole batch — one fsync
-   under [Always] — publishes it and fills the replies.  Any other job
-   commits the open batch first, so a barrier, a replicated op, an
-   EXPLAIN or a SELECT the snapshot declined never sees a state that is
-   not yet durable.  Once the log has failed a mutation is refused before
-   it runs, so the database moves no further ahead of the log. *)
+   their replies open; [commit] then logs the whole batch — one fsync —
+   publishes it and fills the replies.  Any other job commits the open
+   batch first, so a barrier, a replicated op, an EXPLAIN or a SELECT the
+   snapshot declined never sees a state that is not yet durable.  Once
+   the log has failed a mutation is refused before it runs, so the
+   database moves no further ahead of the log. *)
 let executor t sh =
   let run batch = function
     | Mutation (stmt, s) ->

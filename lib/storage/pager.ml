@@ -6,16 +6,6 @@ module Metrics = Secdb_obs.Metrics
    every pager handle. *)
 let m_cache_hits = Metrics.counter "pager.cache_hits"
 let m_cache_misses = Metrics.counter "pager.cache_misses"
-
-(* derived gauge: hits as a percentage of all lookups, process-wide,
-   refreshed on every cached lookup *)
-let g_hit_rate = Metrics.gauge "pager.hit_rate"
-
-let publish_hit_rate () =
-  if Secdb_obs.Obs.on () then begin
-    let h = Metrics.value m_cache_hits and m = Metrics.value m_cache_misses in
-    if h + m > 0 then Metrics.set g_hit_rate (h * 100 / (h + m))
-  end
 let m_evictions = Metrics.counter "pager.evictions"
 let m_writebacks = Metrics.counter "pager.writebacks"
 let m_disk_reads = Metrics.counter "pager.disk_reads"
@@ -140,13 +130,11 @@ let frame_of t page =
   | Some f ->
       t.st.cache_hits <- t.st.cache_hits + 1;
       Metrics.incr m_cache_hits;
-      publish_hit_rate ();
       touch t f;
       f
   | None ->
       t.st.cache_misses <- t.st.cache_misses + 1;
       Metrics.incr m_cache_misses;
-      publish_hit_rate ();
       insert_frame t page (disk_read t page) ~dirty:false
 
 (* --- API ------------------------------------------------------------------ *)

@@ -68,7 +68,7 @@ let check_point ~seed ~k ops =
       then Error (Printf.sprintf "k=%d: recovered records differ from the workload prefix" k)
       else Ok crashed
 
-let test_matrix_always () =
+let test_oplog_crash_matrix () =
   let ops = sample_ops 9 in
   let rec loop k =
     if k > 200 then Alcotest.fail "crash never stopped firing"
@@ -81,7 +81,7 @@ let test_matrix_always () =
   let total = loop 1 in
   Alcotest.(check bool) "matrix covered the workload" true (total > List.length ops / 2)
 
-let test_acked_never_lost_under_always () =
+let test_acked_never_lost () =
   (* the headline durability claim, checked point by point *)
   let ops = sample_ops 7 in
   for k = 1 to 7 do
@@ -323,9 +323,8 @@ let suites =
   [
     ( "storage:crash",
       [
-        Alcotest.test_case "oplog matrix, sync=Always" `Quick test_matrix_always;
-        Alcotest.test_case "Always never loses an acked append" `Quick
-          test_acked_never_lost_under_always;
+        Alcotest.test_case "oplog matrix: recovery = acked prefix" `Quick test_oplog_crash_matrix;
+        Alcotest.test_case "an acked append is never lost" `Quick test_acked_never_lost;
         Alcotest.test_case "ENOSPC leaves a record boundary" `Quick
           test_io_error_leaves_record_boundary;
         Alcotest.test_case "pager matrix: fsck every image" `Quick test_pager_crash_matrix;

@@ -163,6 +163,69 @@ let prop_walker_equivalence =
           | Error _ -> false)
         [ Walker.Published; Walker.Corrected ])
 
+(* the disk decoders are total: random bytes, and every truncation and
+   single-byte flip of a valid value, schema, table and index encoding,
+   decode to [Ok] or [Error] — never an exception *)
+
+let prop_disk_decoders_total =
+  let module St = Secdb_storage.Storage in
+  let scheme =
+    Secdb_schemes.Fixed_cell.make
+      ~aead:(Secdb_aead.Eax.make (Secdb_cipher.Aes_fast.cipher ~key:(String.make 16 'K')))
+      ~nonce:(Secdb_aead.Nonce.counter ~size:16 ())
+      ()
+  in
+  let decoders =
+    [
+      ("Value.decode", fun s -> Result.is_ok (Value.decode s));
+      ("Storage.decode_schema", fun s -> Result.is_ok (St.decode_schema s));
+      ("Storage.decode_table", fun s -> Result.is_ok (St.decode_table ~scheme:(fun _ -> scheme) s));
+      ("Storage.decode_index", fun s -> Result.is_ok (St.decode_index ~codec:B.plain_codec s));
+    ]
+  in
+  let total s =
+    List.for_all
+      (fun (name, decode) ->
+        match decode s with
+        | _ -> true
+        | exception e ->
+            QCheck2.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) s)
+      decoders
+  in
+  let mutations ~mask e =
+    List.init (String.length e) (fun n -> String.sub e 0 n)
+    @ List.init (String.length e) (fun i ->
+          String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor mask) else c) e)
+  in
+  QCheck2.Test.make ~name:"disk decoders are total" ~count:30
+    QCheck2.Gen.(
+      quad
+        (string_size (int_range 0 64))
+        (list_size (int_range 0 6) (pair small_int (string_size (int_range 0 12))))
+        (list_size (int_range 0 40) (int_bound 15))
+        (int_range 1 255))
+    (fun (noise, rows, keys, mask) ->
+      let t = Etable.create ~id:3 schema ~scheme:(fun _ -> scheme) in
+      List.iteri
+        (fun i (k, s) ->
+          ignore
+            (Etable.insert t
+               [ Value.Int (Int64.of_int i); Value.Int (Int64.of_int k); Value.Text s ]))
+        rows;
+      if rows <> [] then Etable.delete_row t ~row:0;
+      let tree = B.create ~order:4 ~id:5 ~codec:B.plain_codec () in
+      List.iteri (fun i k -> B.insert tree (Value.Int (Int64.of_int k)) ~table_row:i) keys;
+      let valid =
+        [
+          Value.encode (Value.Int (Int64.of_int mask));
+          Value.encode (Value.Text noise);
+          St.encode_schema schema;
+          St.encode_table t;
+          St.encode_index tree;
+        ]
+      in
+      total noise && List.for_all (fun e -> List.for_all total (mutations ~mask e)) valid)
+
 let suites =
   [
     ( "props:encdb-scripts",
@@ -179,5 +242,5 @@ let suites =
         ]
       |> List.map qc );
     ( "props:cross-component",
-      [ qc prop_storage_roundtrip; qc prop_walker_equivalence ] );
+      [ qc prop_storage_roundtrip; qc prop_walker_equivalence; qc prop_disk_decoders_total ] );
   ]

@@ -23,7 +23,6 @@ let () =
          Suite_sql_diff.suites;
          Suite_pager.suites;
          Suite_crash.suites;
-         Suite_paged.suites;
          Suite_oplog.suites;
          Suite_core.suites;
          Suite_bulk.suites;

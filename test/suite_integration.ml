@@ -262,9 +262,124 @@ let test_paged_save_load () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "profile mismatch accepted"
 
+let paged_path name = Filename.concat (Filename.get_temp_dir_name ()) ("secdb_paged_" ^ name)
+
+let balances db ~lo ~hi =
+  match Encdb.select_range db ~table:"accounts" ~col:"balance" ~lo ~hi () with
+  | Ok rows -> rows
+  | Error e -> Alcotest.fail e
+
+let test_paged_wrong_master () =
+  let profile = Encdb.Fixed Encdb.Eax in
+  let path = paged_path "wrongkey.db" in
+  let db = Encdb.create ~master:"right key" ~profile () in
+  populate db 30;
+  Encdb.save_paged db ~path ();
+  Encdb.close db;
+  match Encdb.load_paged ~master:"wrong key" ~profile ~path () with
+  | Error _ -> ()
+  | Ok db' -> (
+      (match Encdb.select_range db' ~table:"accounts" ~col:"balance" ~lo:(Value.Int 0L) () with
+      | Error _ -> ()
+      | Ok rows -> if rows <> [] then Alcotest.fail "wrong master key decrypted the index");
+      match Etable.select_result (Encdb.table db' "accounts") (fun _ -> true) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "wrong master key decrypted the table")
+
+(* The adversary edits the image: flip one byte of the table blob's last
+   bytes (the final cell's ciphertext) where it lies in the pager file. *)
+let test_paged_tamper () =
+  let profile = Encdb.Fixed Encdb.Ocb in
+  let path = paged_path "tamper.db" in
+  let db = Encdb.create ~master:"k" ~profile () in
+  populate db 40;
+  let tail =
+    let enc = Secdb_storage.Storage.encode_table (Encdb.table db "accounts") in
+    String.sub enc (String.length enc - 12) 12
+  in
+  Encdb.save_paged db ~path ();
+  Encdb.close db;
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let pos =
+    let rec find i =
+      if i + 12 > String.length image then Alcotest.fail "table tail not found in the image"
+      else if String.sub image i 12 = tail then i
+      else find (i + 1)
+    in
+    find 0 + 6
+  in
+  let b = Bytes.of_string image in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  match Encdb.load_paged ~master:"k" ~profile ~path () with
+  | Error _ -> ()
+  | Ok db' -> (
+      match Etable.select_result (Encdb.table db' "accounts") (fun _ -> true) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "tampered image fully decrypted")
+
+let test_paged_empty () =
+  let profile = Encdb.Fixed Encdb.Gcm in
+  let path = paged_path "empty.db" in
+  let db = Encdb.create ~master:"k" ~profile () in
+  populate db 0;
+  Encdb.save_paged db ~path ();
+  Encdb.close db;
+  match Encdb.load_paged ~master:"k" ~profile ~path () with
+  | Error e -> Alcotest.fail e
+  | Ok db' ->
+      Alcotest.(check int) "no rows" 0
+        (List.length (balances db' ~lo:(Value.Int 0L) ~hi:(Value.Int 10_000L)));
+      let row =
+        Encdb.insert db' ~table:"accounts" [ Value.Int 1L; Value.Text "first"; Value.Int 42L ]
+      in
+      Alcotest.(check (list int)) "insert after reload is indexed" [ row ]
+        (List.map fst (balances db' ~lo:(Value.Int 42L) ~hi:(Value.Int 42L)))
+
+let test_paged_small_cache () =
+  let profile = Encdb.Fixed Encdb.Gcm in
+  let path = paged_path "smallcache.db" in
+  let db = Encdb.create ~master:"k" ~profile () in
+  populate db 200;
+  let expected = balances db ~lo:(Value.Int 0L) ~hi:(Value.Int 10_000L) in
+  Encdb.save_paged db ~path ~page_size:128 ();
+  Encdb.close db;
+  match Encdb.load_paged ~master:"k" ~profile ~path ~cache_pages:2 () with
+  | Error e -> Alcotest.fail e
+  | Ok db' ->
+      Alcotest.(check (list int)) "same answers through a 2-page cache" (List.map fst expected)
+        (List.map fst (balances db' ~lo:(Value.Int 0L) ~hi:(Value.Int 10_000L)))
+
+let test_paged_digest () =
+  let profile = Encdb.Fixed Encdb.Eax in
+  let path = paged_path "digest.db" in
+  let db = Encdb.create ~master:"k" ~profile () in
+  populate db 50;
+  List.iter
+    (fun row ->
+      match Encdb.delete_row db ~table:"accounts" ~row with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ 3; 17; 42 ];
+  let before = Encdb.digest db in
+  Encdb.save_paged db ~path ();
+  Encdb.close db;
+  match Encdb.load_paged ~master:"k" ~profile ~path () with
+  | Error e -> Alcotest.fail e
+  | Ok db' ->
+      Alcotest.(check string) "digest of the reloaded image" (Xbytes.to_hex before)
+        (Xbytes.to_hex (Encdb.digest db'))
+
 let suites =
   suites
   @ [
       ( "integration:paged",
-        [ Alcotest.test_case "paged save/load" `Quick test_paged_save_load ] );
+        [
+          Alcotest.test_case "paged save/load" `Quick test_paged_save_load;
+          Alcotest.test_case "wrong master fails closed" `Quick test_paged_wrong_master;
+          Alcotest.test_case "image tampering surfaces at query time" `Quick test_paged_tamper;
+          Alcotest.test_case "empty table round trip" `Quick test_paged_empty;
+          Alcotest.test_case "load through a 2-page cache" `Quick test_paged_small_cache;
+          Alcotest.test_case "digest survives save/load" `Quick test_paged_digest;
+        ] );
     ]

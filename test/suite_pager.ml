@@ -165,6 +165,33 @@ let test_cache_accounting () =
     (String.sub (Pager.read p (List.nth pages 0)) 0 14);
   Pager.close p
 
+(* The process-wide pager.* counters mirror each pager's stats, and every
+   page read is exactly one hit or one miss: the hit rate is
+   cache_hits / (cache_hits + cache_misses). *)
+let test_registry_counters () =
+  Secdb_obs.Obs.with_enabled @@ fun () ->
+  let module Metrics = Secdb_obs.Metrics in
+  let path = tmp "registry.pg" in
+  let p = Pager.create ~path ~page_size:64 ~cache_pages:8 () in
+  let pages = List.init 5 (fun _ -> Pager.alloc p) in
+  List.iter (fun page -> Pager.write p page "x") pages;
+  Pager.close p;
+  let hits = Metrics.counter "pager.cache_hits" and misses = Metrics.counter "pager.cache_misses" in
+  let hits0 = Metrics.value hits and misses0 = Metrics.value misses in
+  match Pager.open_file ~path ~cache_pages:3 () with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      let reads = [ 1; 2; 1; 3; 4; 1; 5; 2; 2 ] in
+      List.iter (fun page -> ignore (Pager.read p page)) reads;
+      let st = Pager.stats p in
+      Alcotest.(check int) "one hit or miss per read" (List.length reads)
+        (st.Pager.cache_hits + st.Pager.cache_misses);
+      Alcotest.(check int) "hits" 3 st.Pager.cache_hits;
+      Alcotest.(check int) "registry hits" st.Pager.cache_hits (Metrics.value hits - hits0);
+      Alcotest.(check int) "registry misses" st.Pager.cache_misses
+        (Metrics.value misses - misses0);
+      Pager.close p
+
 let test_blob_roundtrip () =
   let path = tmp "blob.pg" in
   let p = Pager.create ~path ~page_size:96 ~cache_pages:8 () in
@@ -270,6 +297,7 @@ let suites =
         Alcotest.test_case "short reads while opening" `Quick test_short_read_open;
         Alcotest.test_case "free zeroizes the page" `Quick test_free_zeroizes;
         Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
+        Alcotest.test_case "registry counters mirror stats" `Quick test_registry_counters;
       ] );
     ( "storage:blobs",
       [
